@@ -60,6 +60,16 @@ def _resolve_config(name: str):
     raise FileNotFoundError(f"no such config file or preset: {name}")
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="scenario file or preset name")
     parser.add_argument("--out", default=None, help="output directory (default: from config)")
@@ -69,7 +79,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="disable the per-type saturation cap in the solver",
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for sweep points (default 1)"
+        "--threads",
+        type=_thread_count,
+        default=1,
+        help="worker threads for sweep points, at least 1 (default 1)",
     )
 
 

@@ -35,6 +35,10 @@ SPEED_OF_LIGHT = 2.99792458e8
 
 MBS_OWNER = -1
 
+# Rounding margin of the partition's radial bound, in dB (see
+# partition_regions).
+_BOUND_SLACK_DB = 1e-9
+
 
 @dataclass(frozen=True)
 class TerrainParams:
@@ -272,6 +276,38 @@ def partition_regions(
     exact SNR ties resolve to the base station, then to the lowest UAV
     index.  A transmitter directly on a cell center yields an infinite
     SNR and simply wins that cell; nothing errors.
+
+    Each UAV is scored only inside a square box around it that holds
+    every cell it can win; every other cell keeps the base station.
+    The box half-width, the UAV's reach, comes from a radial bound.
+    Write ``f(r)`` for the UAV SNR at ground distance ``r`` and ``g(s)``
+    for the base-station SNR at distance ``s``; the UAV sits at ground
+    distance ``D`` from the base station.
+
+    * ``f`` is non-increasing: the slant range ``sqrt(r^2 + H^2)``
+      grows with ``r``, so free-space loss grows, and the elevation
+      ``atan(H / r)`` falls, so the line-of-sight probability falls
+      (the sigmoid rises with elevation because ``a, b > 0``) and
+      weight shifts to the larger obstructed excess loss.
+    * ``g`` is decreasing, and by the triangle inequality a cell at
+      distance ``r`` from the UAV lies within ``D + r`` of the base
+      station, so its base-station SNR is at least ``g(D + r)``.
+
+    Scan ``r_k = k * cell_size`` until ``r_k`` covers the largest
+    UAV-to-center distance the window allows, ``2 sqrt(2) extent +
+    cell_size``.  If ``f(r_k) <= g(D + r_{k+1}) - slack``, every cell
+    whose distance lies in ``[r_k, r_{k+1}]`` has a UAV SNR of at most
+    ``f(r_k)`` and a running best of at least ``g(D + r_{k+1})``, so the
+    strict test can never pick this UAV there: the interval is dropped.
+    A UAV that never takes a cell leaves its running best unchanged, so
+    skipping such cells changes nothing for the UAVs scored after it.
+    The reach is the upper edge of the last interval kept, and a UAV
+    with none kept is skipped.  ``slack`` is a fixed ``1e-9`` dB, far
+    above the rounding of any SNR here (about ``1e-13`` dB), so the
+    bound holds for the computed values and not just the exact ones.
+    Inside the boxes each cell is scored with the same expressions in
+    the same order as a full-grid pass, so owners and areas are
+    bit-identical to one; only the cells that cannot change are skipped.
     """
     if not (math.isfinite(extent) and extent > 0.0):
         raise ValueError(f"extent must be positive, got {extent}")
@@ -283,31 +319,53 @@ def partition_regions(
                 f"UAV at ({x}, {y}) lies outside the analysis window"
             )
     centers = _cell_centers(extent, cell_size)
-    xs, ys = np.meshgrid(centers, centers, indexing="ij")
-
-    mx, my = placement.mbs_position
-    r_mbs = np.hypot(xs - mx, ys - my)
-    with np.errstate(divide="ignore"):
-        best = snr(radio.p_mbs, _free_space(r_mbs, radio.frequency) + terrain.eta_nlos, radio.noise)
-    owner = np.full(xs.shape, MBS_OWNER, dtype=np.int64)
-
+    owner = np.full((centers.size, centers.size), MBS_OWNER, dtype=np.int64)
     height = placement.height
-    for n, (ux, uy) in enumerate(placement.uav_positions):
-        r = np.hypot(xs - ux, ys - uy)
+    mx, my = placement.mbs_position
+
+    def uav_snr(r):
         d = np.hypot(r, height)
         theta = np.degrees(np.arctan2(height, r))
-        loss = pathloss_uav(theta, d, terrain, radio)
-        candidate = snr(radio.p_uav, loss, radio.noise)
-        take = candidate > best
-        owner[take] = n
-        best = np.where(take, candidate, best)
+        return snr(radio.p_uav, pathloss_uav(theta, d, terrain, radio), radio.noise)
 
-    cell_area = cell_size * cell_size
-    areas = tuple(
-        float(np.count_nonzero(owner == n)) * cell_area
-        for n in range(len(placement.uav_positions))
+    def mbs_snr(dist):
+        with np.errstate(divide="ignore"):
+            loss = _free_space(dist, radio.frequency) + terrain.eta_nlos
+        return snr(radio.p_mbs, loss, radio.noise)
+
+    steps = math.ceil((2.0 * math.sqrt(2.0) * extent + cell_size) / cell_size)
+    radii = np.arange(steps + 1) * cell_size
+    inner = uav_snr(radii[:-1])
+    boxes = []
+    for n, (ux, uy) in enumerate(placement.uav_positions):
+        mbs_floor = mbs_snr(math.hypot(ux - mx, uy - my) + radii[1:])
+        kept = np.flatnonzero(inner > mbs_floor - _BOUND_SLACK_DB)
+        if kept.size:
+            reach = radii[kept[-1] + 1]
+            lo = np.searchsorted(centers, (ux - reach, uy - reach), side="left")
+            hi = np.searchsorted(centers, (ux + reach, uy + reach), side="right")
+            boxes.append((n, ux, uy, lo, hi))
+
+    areas = [0.0] * len(placement.uav_positions)
+    if boxes:
+        top, left = np.min([lo for *_, lo, _ in boxes], axis=0)
+        bottom, right = np.max([hi for *_, hi in boxes], axis=0)
+        xs, ys = np.meshgrid(centers[top:bottom], centers[left:right], indexing="ij")
+        best = mbs_snr(np.hypot(xs - mx, ys - my))
+        window = owner[top:bottom, left:right]
+        for n, ux, uy, (i0, j0), (i1, j1) in boxes:
+            xs, ys = np.meshgrid(centers[i0:i1], centers[j0:j1], indexing="ij")
+            candidate = uav_snr(np.hypot(xs - ux, ys - uy))
+            box = (slice(i0 - top, i1 - top), slice(j0 - left, j1 - left))
+            take = candidate > best[box]
+            window[box][take] = n
+            best[box][take] = candidate[take]
+        cell_area = cell_size * cell_size
+        for n, *_ in boxes:
+            areas[n] = float(np.count_nonzero(window == n)) * cell_area
+    return RegionGrid(
+        extent=extent, cell_size=cell_size, owner=owner, areas=tuple(areas)
     )
-    return RegionGrid(extent=extent, cell_size=cell_size, owner=owner, areas=areas)
 
 
 def derive_types(grid: RegionGrid, density: DensityMap) -> DerivedTypes:

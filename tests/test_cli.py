@@ -415,6 +415,17 @@ class TestCommandLine:
         assert main(["solve"]) == 1
         assert main(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_one(self, tmp_path, capsys, command, threads):
+        out = tmp_path / "o"
+        code = main(
+            [command, "--config", "load_sweep", "--out", str(out), "--threads", threads]
+        )
+        assert code == 1
+        assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_mismatch_exits_two(self, capsys):
         code = main(["oracle-check", "--instances", "40", "--corrupt-tiebreak"])
         assert code == 2

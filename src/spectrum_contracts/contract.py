@@ -33,6 +33,7 @@ __all__ = [
     "optimal_prices",
     "revenue",
     "gain",
+    "gain_from_utilities",
     "social_welfare",
     "total_weight",
     "operator_surpluses",
@@ -464,11 +465,30 @@ def gain(ladder: TypeLadder, t: int, w: int) -> float:
     """
     if not 0 <= t < ladder.size:
         raise ValueError(f"type index {t} out of range for {ladder.size} types")
+    return gain_from_utilities(
+        ladder, t, lambda s: uav_utility(ladder.lambdas[s], w)
+    )
+
+
+def gain_from_utilities(ladder: TypeLadder, t: int, utility):
+    """G_t given the utilities it is made of; the one home of its formula.
+
+    Args:
+        ladder: The operator types.
+        t: Type index, 0-based and in range.
+        utility: Callable mapping a type index s to U(lam_s, w), either
+            for one w (a float) or for a range of w (a numpy array, giving
+            G_t elementwise over that range with the same arithmetic).
+
+    Returns:
+        G_t(w) = C_t * U(lam_t, w) - D_t * U(lam_{t+1}, w), as a float or
+        an array matching what ``utility`` returns.
+    """
     above = sum(ladder.counts[t:])
     strictly_above = above - ladder.counts[t]
-    value = above * uav_utility(ladder.lambdas[t], w)
+    value = above * utility(t)
     if strictly_above > 0:
-        value -= strictly_above * uav_utility(ladder.lambdas[t + 1], w)
+        value = value - strictly_above * utility(t + 1)
     return value
 
 

@@ -37,6 +37,7 @@ from .solver import (
     SolverResult,
     brute_force_solve,
     solve,
+    solve_loads,
 )
 from .stochastic import uav_utility
 
@@ -163,9 +164,7 @@ def _prices_total(ladder: TypeLadder, contract: Contract) -> float:
     )
 
 
-def _objective_cells(
-    ladder: TypeLadder, mbs: MbsLoad, result: SolverResult
-) -> tuple:
+def _objective_cells(ladder: TypeLadder, result: SolverResult) -> tuple:
     return (
         result.sold,
         _prices_total(ladder, result.contract),
@@ -228,7 +227,7 @@ def run_solve(
         )
         files.append(_write(out, f"contract_{stem}.csv", contract_table))
         files.append(_write(out, f"trace_{stem}.csv", trace_table))
-        cells = _objective_cells(ladder, config.mbs, result)
+        cells = _objective_cells(ladder, result)
         summary_rows.append((objective.value,) + cells)
         lines.append(
             f"objective={objective.value} sold={cells[0]} "
@@ -264,7 +263,13 @@ def run_sweep(
     threads: int = 1,
     use_k_cap: bool | None = None,
 ) -> RunReport:
-    """Solve the scenario once per sweep value and write one CSV table."""
+    """Solve the scenario once per sweep value and write one CSV table.
+
+    A load sweep builds the solver tables once per objective and streams
+    the loads through them in this thread; only the cost row depends on
+    the load.  A height sweep re-partitions and solves at every height,
+    on up to ``threads`` threads (never more than there are heights).
+    """
     if config.sweep is None:
         raise ConfigError("sweep: this command needs a sweep section")
     kcap = config.use_k_cap if use_k_cap is None else use_k_cap
@@ -272,17 +277,23 @@ def run_sweep(
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    values = config.sweep.values
     if config.sweep.parameter == "load":
         ladder = _resolve_ladder(config)
-
-        def point(value: float) -> tuple:
-            mbs = MbsLoad(config.mbs.total_channels, value)
-            cells: tuple = (value,)
-            for objective in config.objectives:
-                result = solve(ladder, mbs, objective, use_k_cap=kcap)
-                cells += _objective_cells(ladder, mbs, result)
-            return cells
-
+        total = config.mbs.total_channels
+        by_objective = [
+            [
+                _objective_cells(ladder, result)
+                for result in solve_loads(
+                    ladder, total, values, objective, use_k_cap=kcap
+                )
+            ]
+            for objective in config.objectives
+        ]
+        rows = tuple(
+            sum(cells, (value,))
+            for value, cells in zip(values, zip(*by_objective))
+        )
         columns = _sweep_columns(config, ("load",))
     else:
         geo = config.geometry
@@ -307,7 +318,7 @@ def run_sweep(
                 ladder = derived.ladder()
                 for objective in config.objectives:
                     result = solve(ladder, config.mbs, objective, use_k_cap=kcap)
-                    cells += _objective_cells(ladder, config.mbs, result)
+                    cells += _objective_cells(ladder, result)
             else:
                 for _ in config.objectives:
                     cells += _zero_cells()
@@ -316,13 +327,12 @@ def run_sweep(
         columns = _sweep_columns(
             config, ("height", "total_area_m2", "n_types", "n_excluded")
         )
-
-    values = config.sweep.values
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(point, values))
-    else:
-        rows = tuple(point(v) for v in values)
+        workers = min(threads, len(values))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                rows = tuple(pool.map(point, values))
+        else:
+            rows = tuple(point(v) for v in values)
 
     table = ResultTable(columns=columns, rows=rows, metadata=_metadata(digest))
     files = (_write(out, "sweep.csv", table),)

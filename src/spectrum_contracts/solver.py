@@ -9,10 +9,13 @@ combinatorial core three ways:
   holds the best achievable value for types t..T when type t receives
   exactly k channels and w channels of budget remain for types t onward.
   Monotonicity is enforced by restricting the next type to counts >= k.
-* ``solve``: wraps the inner program in a scan over every budget
-  W = 0..M, subtracting the expected congestion cost of selling W
-  channels, and keeps the best net value.  The per-W trace is retained
-  so load curves can be plotted from a single run.
+* ``solve_loads``: fills the inner program's tables once for every
+  budget W = 0..M, then for each base-station load in turn subtracts
+  that load's expected congestion cost of selling W channels and keeps
+  the best net value.  Only the cost row depends on the load, so a load
+  sweep builds the tables once per objective; ``solve`` is the
+  single-load case.  The per-W trace is retained so load curves can be
+  plotted from a single run.
 * ``brute_force_solve``: exhaustive enumeration used as a correctness
   oracle at small scale.
 
@@ -36,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,12 +48,12 @@ from .contract import (
     MbsLoad,
     QualityAssignment,
     TypeLadder,
-    gain,
+    gain_from_utilities,
     optimal_prices,
     revenue,
     social_welfare,
 )
-from .stochastic import cost_table, saturation_channels, uav_utility
+from .stochastic import cost_table, saturation_channels, utility_table
 
 IMPOSSIBLE = float("-inf")
 
@@ -97,7 +100,8 @@ class DpTables:
     ``opt[t, k, w]`` is the best total gain for types t.. when type t
     takes exactly k channels out of a remaining budget of w.  States
     that cannot be realized hold the sentinel; ``decision`` gives the
-    chosen count for type t+1 (0 where no choice exists).
+    chosen count for type t+1 (0 where no choice exists), stored in the
+    narrowest unsigned type that holds the cap K.
     """
 
     opt: np.ndarray
@@ -134,19 +138,21 @@ def _gain_rows(ladder: TypeLadder, objective: Objective, top: int) -> np.ndarray
 
     Row t holds the seller's gain from assigning k channels to type t
     (information rents of higher types already netted out), or the raw
-    served traffic N_t * U(lambda_t, k) for the welfare objective.  The
-    arithmetic goes through the same evaluator functions used to score
-    final contracts, so solver values and evaluations agree bit for bit.
+    served traffic N_t * U(lambda_t, k) for the welfare objective.  Each
+    type's utilities come from one table, whose entry k is the value
+    ``uav_utility`` returns, and the gain is formed by the evaluators' own
+    formula elementwise, so solver values and evaluations agree bit for
+    bit.
     """
-    rows = np.empty((ladder.size, top + 1), dtype=np.float64)
-    for t in range(ladder.size):
-        if objective is Objective.MBS_REVENUE:
-            rows[t] = [gain(ladder, t, k) for k in range(top + 1)]
-        else:
-            count = ladder.counts[t]
-            lam = ladder.lambdas[t]
-            rows[t] = [count * uav_utility(lam, k) for k in range(top + 1)]
-    return rows
+    tables = [utility_table(lam, top) for lam in ladder.lambdas]
+    if objective is Objective.MBS_REVENUE:
+        rows = [
+            gain_from_utilities(ladder, t, tables.__getitem__)
+            for t in range(ladder.size)
+        ]
+    else:
+        rows = [count * table for count, table in zip(ladder.counts, tables)]
+    return np.array(rows, dtype=np.float64)
 
 
 def _suffix_incumbents(
@@ -206,7 +212,7 @@ def build_tables(
     counts = ladder.counts
     gains = _gain_rows(ladder, objective, K)
     opt = np.full((T, K + 1, W + 1), IMPOSSIBLE, dtype=np.float64)
-    decision = np.zeros((T, K + 1, W + 1), dtype=np.int64)
+    decision = np.zeros((T, K + 1, W + 1), dtype=np.min_scalar_type(K))
 
     for k in range(K + 1):
         need = k * counts[T - 1]
@@ -284,6 +290,54 @@ def _scan_preferred(net: np.ndarray, tie: TieBreak) -> int:
     return int(np.argmax(tied))
 
 
+def solve_loads(
+    ladder: TypeLadder,
+    total_channels: int,
+    loads: Iterable[float],
+    objective: Objective,
+    *,
+    use_k_cap: bool = True,
+    tie: TieBreak | None = None,
+) -> Iterator[SolverResult]:
+    """Best feasible menu at each base-station load, by exact search.
+
+    Fills the inner program once across all budgets W = 0..M, then for
+    each load nets out the congestion cost of parting with W channels
+    and prices the winning assignment.  One shared table serves every
+    budget: a column-w extraction of the full-width table is identical
+    to a dedicated width-w table because over-budget states are
+    impossible and can never win an extraction.  The table does not
+    depend on the load either, so it serves every load; results are
+    yielded one at a time and the table is freed when the loads run
+    out.  With ``use_k_cap`` the per-type counts are additionally capped
+    at the saturation point of the busiest type, which leaves all optima
+    unchanged but removes the quartic blowup in the channel budget.
+    """
+    if tie is None:
+        tie = TieBreak()
+    M = total_channels
+    K = min(M, saturation_cap(ladder)) if use_k_cap else M
+    tables = build_tables(ladder, objective, M, K, tie)
+    top_val, top_idx = _suffix_incumbents(tables.opt[0], tie)
+    inner_vals = top_val[0]
+    for load in loads:
+        mbs = MbsLoad(M, load)
+        net = inner_vals - cost_table(M, mbs.load)
+        best_w = _scan_preferred(net, tie)
+        trace = tuple(
+            TracePoint(
+                capacity=w,
+                inner_value=float(inner_vals[w]),
+                objective_value=float(net[w]),
+            )
+            for w in range(M + 1)
+        )
+        assignment = _backtrack(
+            tables, ladder.counts, int(top_idx[0, best_w]), best_w
+        )
+        yield _package(ladder, mbs, assignment, trace)
+
+
 def solve(
     ladder: TypeLadder,
     mbs: MbsLoad,
@@ -292,39 +346,17 @@ def solve(
     use_k_cap: bool = True,
     tie: TieBreak | None = None,
 ) -> SolverResult:
-    """Best feasible menu for the given supply, by exact search.
-
-    Runs the inner program across all budgets W = 0..M, nets out the
-    congestion cost of parting with W channels, and prices the winning
-    assignment.  One shared table serves every budget: a column-w
-    extraction of the full-width table is identical to a dedicated
-    width-w table because over-budget states are impossible and can
-    never win an extraction.  With ``use_k_cap`` the per-type counts are
-    additionally capped at the saturation point of the busiest type,
-    which leaves all optima unchanged but removes the quartic blowup in
-    the channel budget.
-    """
-    if tie is None:
-        tie = TieBreak()
-    M = mbs.total_channels
-    K = min(M, saturation_cap(ladder)) if use_k_cap else M
-    tables = build_tables(ladder, objective, M, K, tie)
-    top_val, top_idx = _suffix_incumbents(tables.opt[0], tie)
-    inner_vals = top_val[0]
-    costs = cost_table(mbs.total_channels, mbs.load)
-    net = inner_vals - np.asarray(costs)
-    best_w = _scan_preferred(net, tie)
-
-    trace = tuple(
-        TracePoint(
-            capacity=w,
-            inner_value=float(inner_vals[w]),
-            objective_value=float(net[w]),
+    """Best feasible menu for the given supply: ``solve_loads`` at one load."""
+    return next(
+        solve_loads(
+            ladder,
+            mbs.total_channels,
+            (mbs.load,),
+            objective,
+            use_k_cap=use_k_cap,
+            tie=tie,
         )
-        for w in range(M + 1)
     )
-    assignment = _backtrack(tables, ladder.counts, int(top_idx[0, best_w]), best_w)
-    return _package(ladder, mbs, assignment, trace)
 
 
 def _package(

@@ -6,15 +6,27 @@ rate is ``U(lam, w) = sum_{k=1..w} P(X_lam >= k)``. The base station's cost
 of selling ``m`` of its ``M`` channels is the expected service it gives up,
 ``C(m) = U_BS(M) - U_BS(M - m)``.
 
-Tail probabilities are accumulated from the probability mass recurrence
-``term(i+1) = term(i) * lam / (i + 1)`` starting at ``exp(-lam)``, with
-compensated summation, which avoids factorials entirely. Means large enough
-to underflow ``exp(-lam)`` fall back to per-term evaluation in log space.
+Tail probabilities come from one forward pass over k = 0, 1, 2, ...
+that carries the probability mass ``term(k) = term(k-1) * lam / k``,
+started at ``exp(-lam)`` so no factorial is ever formed, together with the
+compensated sum of the terms below k. Up to the mean the tail is one minus
+that running sum; above the mean it is summed upward from ``term(k)`` to
+convergence, which keeps it strictly positive far into the tail. Means
+large enough to underflow ``exp(-lam)`` take each term from log space
+instead, and their running sum is kept exactly, as an integer count of
+``2**-1074`` (every finite float is one), and rounded once per tail.
+
+``cost_table`` sums the same tails from the top down, again exactly, so
+each entry is the correctly rounded suffix sum at O(1) extra cost per
+entry. ``utility_table`` runs its own cumulative pass, taking every tail
+as one minus the compensated sum below it.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -30,6 +42,10 @@ __all__ = [
 
 # exp(-mean) underflows to 0.0 past this point; switch to log space there.
 _LOG_SPACE_MEAN = 700.0
+
+# Every finite float is an integer multiple of 2**-1074, so sums kept in
+# these units are exact, and int / int true division rounds them correctly.
+_UNITS = 1 << 1074
 
 
 def _check_mean(mean: float) -> float:
@@ -56,6 +72,12 @@ def _log_pmf(mean: float, k: int) -> float:
     return -mean + k * math.log(mean) - math.lgamma(k + 1)
 
 
+def _units(value: float) -> int:
+    """A finite float as an exact integer count of 2**-1074."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator * (_UNITS // denominator)
+
+
 def poisson_pmf(mean: float, k: int) -> float:
     """Probability that a Poisson variable with the given mean equals k.
 
@@ -79,27 +101,8 @@ def poisson_pmf(mean: float, k: int) -> float:
     return term
 
 
-def _cdf_below(mean: float, k: int) -> float:
-    """Compensated sum of pmf terms for outcomes 0..k-1."""
-    if k <= 0:
-        return 0.0
-    if mean > _LOG_SPACE_MEAN:
-        return math.fsum(math.exp(_log_pmf(mean, i)) for i in range(k))
-    term = math.exp(-mean)
-    total = term
-    comp = 0.0
-    for i in range(1, k):
-        term *= mean / i
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def _tail_above(mean: float, k: int) -> float:
-    """Compensated sum of pmf terms for outcomes k, k+1, ... to convergence."""
-    term = poisson_pmf(mean, k)
+def _upper_sum(mean: float, k: int, term: float) -> float:
+    """Compensated sum of pmf terms k, k+1, ... to convergence from term(k)."""
     total = term
     comp = 0.0
     i = k
@@ -112,6 +115,48 @@ def _tail_above(mean: float, k: int) -> float:
         comp = (t - total) - y
         total = t
     return min(total, 1.0)
+
+
+def _tails(mean: float, start: int) -> Iterator[float]:
+    """P(X >= k) for k = start, start + 1, ... in one forward pass.
+
+    Below the mean the running sum of the terms under k is carried along,
+    so each tail costs O(1); above it each requested tail is summed upward
+    from the running term. Terms for k below ``start`` are still stepped
+    through where the running state needs them, but no upward sum is run
+    for them.
+    """
+    k = 0
+    if mean > _LOG_SPACE_MEAN:
+        below = 0
+        # Log-space terms need no running product, so a pass that starts
+        # above the mean skips the lower sum altogether.
+        while k <= mean and start <= mean:
+            if k >= start:
+                yield max(1.0 - below / _UNITS, 0.0)
+            below += _units(math.exp(_log_pmf(mean, k)))
+            k += 1
+        k = max(k, start)
+        while True:
+            yield _upper_sum(mean, k, math.exp(_log_pmf(mean, k)))
+            k += 1
+    term = math.exp(-mean)
+    below = 0.0
+    comp = 0.0
+    while k <= mean:
+        if k >= start:
+            yield max(1.0 - below, 0.0)
+        y = term - comp
+        t = below + y
+        comp = (t - below) - y
+        below = t
+        k += 1
+        term *= mean / k
+    while True:
+        if k >= start:
+            yield _upper_sum(mean, k, term)
+        k += 1
+        term *= mean / k
 
 
 def poisson_tail(mean: float, k: int) -> float:
@@ -134,11 +179,7 @@ def poisson_tail(mean: float, k: int) -> float:
     """
     mean = _check_mean(mean)
     k = _check_count(k, "k")
-    if k == 0:
-        return 1.0
-    if k <= mean:
-        return max(1.0 - _cdf_below(mean, k), 0.0)
-    return _tail_above(mean, k)
+    return next(_tails(mean, k))
 
 
 def uav_utility(mean: float, channels: int) -> float:
@@ -223,11 +264,15 @@ def mbs_cost(sold: int, total: int, load: float) -> float:
     load = _check_mean(load)
     if sold > total:
         raise ValueError(f"sold channels ({sold}) exceed the total ({total})")
-    return math.fsum(poisson_tail(load, k) for k in range(total - sold + 1, total + 1))
+    return math.fsum(islice(_tails(load, total - sold + 1), sold))
 
 
 def cost_table(total: int, load: float) -> np.ndarray:
     """Costs C(0..total) for a base station with the given size and load.
+
+    Entry m is the correctly rounded sum of the top m tails, accumulated
+    exactly from the top down, so it equals mbs_cost(m, total, load) bit
+    for bit.
 
     Args:
         total: Total channels M.
@@ -238,10 +283,12 @@ def cost_table(total: int, load: float) -> np.ndarray:
     """
     total = _check_count(total, "total")
     load = _check_mean(load)
-    tails = [poisson_tail(load, k) for k in range(1, total + 1)]
+    tails = list(islice(_tails(load, 1), total))
     table = np.zeros(total + 1)
+    exact = 0
     for m in range(1, total + 1):
-        table[m] = math.fsum(tails[total - m:])
+        exact += _units(tails[total - m])
+        table[m] = exact / _UNITS
     return table
 
 
@@ -262,8 +309,6 @@ def saturation_channels(mean: float, tol: float = 1e-12) -> int:
     mean = _check_mean(mean)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    # The tail at ceil(mean) is order one; step forward from there.
-    k = 1
-    while poisson_tail(mean, k) >= tol:
-        k += 1
-    return k
+    for k, tail in enumerate(_tails(mean, 1), start=1):
+        if tail < tol:
+            return k

@@ -24,6 +24,7 @@ from spectrum_contracts.runner import (
     sample_instance,
     strip_timestamp,
 )
+from spectrum_contracts import runner, solver
 from spectrum_contracts.solver import Objective, solve
 
 MINIMAL = """\
@@ -308,6 +309,62 @@ class TestRunSweep:
             for sub in ("a", "b")
         ]
         assert texts[0] == texts[1]
+
+    def test_height_sweep_thread_count_does_not_change_bytes(self, tmp_path):
+        config = loads_config(
+            GEOMETRY + "sweep: {parameter: height, values: [300.0, 400.0, 500.0]}\n"
+        )
+        run_sweep(config, out_dir=str(tmp_path / "a"), threads=1)
+        run_sweep(config, out_dir=str(tmp_path / "b"), threads=4)
+        texts = [
+            strip_timestamp((tmp_path / sub / "sweep.csv").read_text())
+            for sub in ("a", "b")
+        ]
+        assert texts[0] == texts[1]
+
+    def test_pool_never_outnumbers_the_sweep_points(self, tmp_path, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            """Stands in for the executor: records its size, starts no thread."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, values):
+                return map(fn, values)
+
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+        config = loads_config(
+            GEOMETRY + "sweep: {parameter: height, values: [300.0, 400.0]}\n"
+        )
+        run_sweep(config, out_dir=str(tmp_path / "two"), threads=8)
+        run_sweep(config, out_dir=str(tmp_path / "one"), threads=2)
+        assert requested == [2, 2]
+        single = loads_config(GEOMETRY + "sweep: {parameter: height, values: [400.0]}\n")
+        run_sweep(single, out_dir=str(tmp_path / "single"), threads=8)
+        assert requested == [2, 2]
+
+    def test_load_sweep_builds_tables_once_per_objective(self, tmp_path, monkeypatch):
+        built = []
+        original = solver.build_tables
+
+        def counting(*args, **kwargs):
+            built.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "build_tables", counting)
+        config = loads_config(
+            MINIMAL + "sweep: {parameter: load, start: 1.0, stop: 8.0, step: 1.0}\n"
+        )
+        run_sweep(config, out_dir=str(tmp_path), threads=4)
+        assert built == list(config.objectives)
 
     def test_load_column_is_monotone(self, tmp_path):
         config = loads_config(

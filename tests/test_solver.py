@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectrum_contracts.contract import (
     MbsLoad,
@@ -20,6 +22,7 @@ from spectrum_contracts.solver import (
     dp_inner,
     saturation_cap,
     solve,
+    solve_loads,
 )
 from spectrum_contracts.stochastic import mbs_cost, uav_utility
 
@@ -35,6 +38,39 @@ def _random_instance(rng, max_types=3, max_budget=12, lam_lo=0.5, lam_hi=5.0):
     ladder = TypeLadder(tuple(float(v) for v in lambdas), counts)
     mbs = MbsLoad(int(rng.integers(1, max_budget + 1)), float(rng.uniform(1.0, 10.0)))
     return ladder, mbs
+
+
+@st.composite
+def _oracle_instances(draw):
+    """Instances past ``_random_instance``: up to four types, twenty channels,
+    means tied to within 1e-12 and base-station loads in log space."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    lambdas = sorted(
+        draw(
+            st.lists(
+                st.floats(min_value=0.3, max_value=12.0),
+                min_size=size,
+                max_size=size,
+                unique=True,
+            )
+        )
+    )
+    if size > 1 and draw(st.booleans()):
+        # Pull one type onto its lower neighbour: utilities then plateau
+        # within the tie tolerance.
+        i = draw(st.integers(min_value=0, max_value=size - 2))
+        tied = lambdas[i] + draw(st.sampled_from([2e-16, 1e-13, 1e-12]))
+        if tied > lambdas[i] and (i + 2 == size or tied < lambdas[i + 2]):
+            lambdas[i + 1] = tied
+    counts = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    total = draw(st.integers(min_value=1, max_value=20))
+    load = draw(
+        st.one_of(
+            st.floats(min_value=0.5, max_value=40.0),
+            st.floats(min_value=700.5, max_value=2000.0),
+        )
+    )
+    return TypeLadder(tuple(lambdas), tuple(counts)), MbsLoad(total, load)
 
 
 def _ten_type_ladder():
@@ -112,8 +148,22 @@ class TestDpInner:
                 assert tables.opt[2, k, w] == gain(ladder, 2, k)
         assert tables.decision[~possible].max(initial=0) == 0
 
+    def test_decision_uses_the_narrowest_type_for_the_cap(self):
+        ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
+        for K, dtype in ((5, np.uint8), (255, np.uint8), (256, np.uint16)):
+            tables = build_tables(ladder, Objective.MBS_REVENUE, 300, K)
+            assert tables.decision.dtype == dtype
+
 
 class TestSolve:
+    def test_load_stream_equals_one_solve_per_load(self):
+        ladder = TypeLadder((1.5, 4.0, 9.0), (2, 1, 3))
+        loads = (0.5, 7.0, 30.0, 650.0, 700.5, 1200.0)
+        for objective in Objective:
+            streamed = list(solve_loads(ladder, 25, loads, objective))
+            assert len(streamed) == len(loads)
+            for load, result in zip(loads, streamed):
+                assert result == solve(ladder, MbsLoad(25, load), objective)
     def test_ten_type_light_load_sold_counts(self):
         ladder = _ten_type_ladder()
         mbs = MbsLoad(200, 120.0)
@@ -243,6 +293,18 @@ class TestBruteForce:
                     assert a.objective_value == pytest.approx(
                         b.objective_value, abs=1e-9
                     )
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=_oracle_instances())
+    def test_agrees_with_dp_on_wider_instances(self, instance):
+        ladder, mbs = instance
+        assert count_monotone_assignments(ladder, mbs.total_channels) <= 20_000
+        for objective in Objective:
+            fast = solve(ladder, mbs, objective)
+            slow = brute_force_solve(ladder, mbs, objective)
+            assert fast.contract.assignment == slow.contract.assignment
+            assert fast.revenue == pytest.approx(slow.revenue, abs=1e-9)
+            assert fast.welfare == pytest.approx(slow.welfare, abs=1e-9)
 
     def test_corrupted_tie_break_is_caught(self):
         # A deliberately loosened, reversed tie rule must visibly diverge

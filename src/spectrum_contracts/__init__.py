@@ -9,150 +9,33 @@ The package splits into five layers:
 * :mod:`~spectrum_contracts.solver`: channel-assignment search (layered
   DP plus an exhaustive oracle).
 * :mod:`~spectrum_contracts.geometry`: air-to-ground channel model,
-  SNR coverage partition, type derivation, height sweeps.
+  SNR coverage partition, type derivation.
 * :mod:`~spectrum_contracts.config` / :mod:`~spectrum_contracts.runner`
   / :mod:`~spectrum_contracts.cli`: scenario files, experiment
-  orchestration, CSV emission.
+  orchestration (solves and sweeps), CSV emission.
+
+The package root holds the entry points of a run; everything else is
+imported from its module.
 """
 
 from ._version import __version__
-from .config import (
-    ConfigError,
-    GeometryScenario,
-    ScenarioConfig,
-    SweepSpec,
-    canonical_dump,
-    config_hash,
-    load_config,
-    loads_config,
-    parse_config,
-    watts_to_dbm,
-)
-from .contract import (
-    Contract,
-    FeasibilityReport,
-    Lemma2Report,
-    MbsLoad,
-    PriceSchedule,
-    QualityAssignment,
-    TypeLadder,
-    gain,
-    ladder_from_lambdas,
-    lemma2_conditions,
-    operator_surpluses,
-    optimal_prices,
-    revenue,
-    social_welfare,
-    total_weight,
-    validate_feasibility,
-)
-from .geometry import (
-    DensityMap,
-    DerivedTypes,
-    HeightRecord,
-    Placement,
-    RadioParams,
-    RegionGrid,
-    TerrainParams,
-    derive_types,
-    height_sweep,
-    p_los,
-    partition_regions,
-    pathloss_mbs,
-    pathloss_uav,
-    snr,
-)
-from .runner import (
-    OracleReport,
-    ResultTable,
-    RunReport,
-    run_oracle_check,
-    run_solve,
-    run_sweep,
-    sample_instance,
-    strip_timestamp,
-)
-from .solver import (
-    Objective,
-    SolverResult,
-    TieBreak,
-    TracePoint,
-    brute_force_solve,
-    count_monotone_assignments,
-    dp_inner,
-    saturation_cap,
-    solve,
-)
-from .stochastic import (
-    mbs_cost,
-    poisson_pmf,
-    poisson_tail,
-    saturation_channels,
-    uav_utility,
-)
+from .config import ConfigError, canonical_dump, config_hash, load_config, loads_config
+from .contract import MbsLoad, TypeLadder
+from .runner import run_oracle_check, run_solve, run_sweep
+from .solver import Objective, solve
 
 __all__ = [
     "__version__",
     "ConfigError",
-    "Contract",
-    "DensityMap",
-    "DerivedTypes",
-    "FeasibilityReport",
-    "GeometryScenario",
-    "HeightRecord",
-    "Lemma2Report",
     "MbsLoad",
     "Objective",
-    "OracleReport",
-    "Placement",
-    "PriceSchedule",
-    "QualityAssignment",
-    "RadioParams",
-    "RegionGrid",
-    "ResultTable",
-    "RunReport",
-    "ScenarioConfig",
-    "SolverResult",
-    "SweepSpec",
-    "TerrainParams",
-    "TieBreak",
-    "TracePoint",
     "TypeLadder",
-    "brute_force_solve",
     "canonical_dump",
     "config_hash",
-    "count_monotone_assignments",
-    "derive_types",
-    "dp_inner",
-    "gain",
-    "height_sweep",
-    "ladder_from_lambdas",
-    "lemma2_conditions",
     "load_config",
     "loads_config",
-    "mbs_cost",
-    "operator_surpluses",
-    "optimal_prices",
-    "p_los",
-    "parse_config",
-    "partition_regions",
-    "pathloss_mbs",
-    "pathloss_uav",
-    "poisson_pmf",
-    "poisson_tail",
-    "revenue",
     "run_oracle_check",
     "run_solve",
     "run_sweep",
-    "sample_instance",
-    "saturation_cap",
-    "saturation_channels",
-    "snr",
-    "social_welfare",
     "solve",
-    "strip_timestamp",
-    "total_weight",
-    "uav_utility",
-    "validate_feasibility",
-    "watts_to_dbm",
 ]

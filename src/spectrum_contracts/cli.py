@@ -135,20 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    if args.command == "solve":
+    if args.command in ("solve", "sweep"):
+        run = run_solve if args.command == "solve" else run_sweep
         config = _resolve_config(args.config)
-        report = run_solve(
-            config,
-            out_dir=args.out,
-            threads=args.threads,
-            use_k_cap=False if args.no_kcap else None,
-        )
-        for line in report.lines:
-            print(line)
-        return EXIT_OK
-    if args.command == "sweep":
-        config = _resolve_config(args.config)
-        report = run_sweep(
+        report = run(
             config,
             out_dir=args.out,
             threads=args.threads,

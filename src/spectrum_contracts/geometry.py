@@ -10,8 +10,7 @@ non-trivial way.  This module computes:
 * the SNR-based ownership partition of the window into per-transmitter
   regions, evaluated on a regular grid of cell centers,
 * mean demand derived from region areas and user densities, which is
-  what turns a physical deployment into a ladder of contract types,
-* height sweeps that re-run the partition and both solvers per height.
+  what turns a physical deployment into a ladder of contract types.
 
 Distances are meters, angles are degrees, powers are dB-scale (dBm for
 absolute powers), frequencies Hz.  The base station antenna sits at
@@ -29,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contract import TypeLadder, ladder_from_lambdas
-from .solver import Objective, TieBreak, solve
 
 SPEED_OF_LIGHT = 2.99792458e8
 
@@ -186,20 +184,6 @@ class DerivedTypes:
     def ladder(self) -> TypeLadder:
         """Ascending type ladder; equal demands merge into one type."""
         return ladder_from_lambdas(self.lambdas)
-
-
-@dataclass(frozen=True)
-class HeightRecord:
-    """Everything the height sweep learns at one height."""
-
-    height: float
-    areas: tuple[float, ...]
-    lambdas: tuple[float, ...]
-    excluded_uavs: tuple[int, ...]
-    revenue: float
-    welfare: float
-    sold_revenue: int
-    sold_welfare: int
 
 
 def p_los(theta, terrain: TerrainParams):
@@ -400,75 +384,3 @@ def derive_types(grid: RegionGrid, density: DensityMap) -> DerivedTypes:
         excluded_uavs=tuple(excluded),
         warnings=tuple(notes),
     )
-
-
-def height_sweep(
-    heights,
-    *,
-    uav_positions,
-    terrain: TerrainParams,
-    radio: RadioParams,
-    density: DensityMap,
-    total_channels: int,
-    load: float,
-    extent: float = 3000.0,
-    cell_size: float = 5.0,
-    mbs_position: tuple[float, float] = (0.0, 0.0),
-    use_k_cap: bool = True,
-    tie: TieBreak | None = None,
-) -> list[HeightRecord]:
-    """Partition, derive demand, and solve both objectives per height.
-
-    Heights must be strictly ascending.  A height where every UAV loses
-    its region still yields a record, with zero revenue and welfare.
-    """
-    from .contract import MbsLoad
-
-    heights = [float(h) for h in heights]
-    if not heights:
-        raise ValueError("height sweep needs at least one height")
-    if any(b <= a for a, b in zip(heights, heights[1:])):
-        raise ValueError("heights must be strictly ascending")
-    mbs = MbsLoad(total_channels, load)
-    records = []
-    for height in heights:
-        placement = Placement(
-            uav_positions=tuple(uav_positions),
-            height=height,
-            mbs_position=mbs_position,
-        )
-        grid = partition_regions(placement, terrain, radio, extent, cell_size)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            derived = derive_types(grid, density)
-        if derived.lambdas:
-            ladder = derived.ladder()
-            rev = solve(
-                ladder, mbs, Objective.MBS_REVENUE, use_k_cap=use_k_cap, tie=tie
-            )
-            soc = solve(
-                ladder, mbs, Objective.SOCIAL_WELFARE, use_k_cap=use_k_cap, tie=tie
-            )
-            record = HeightRecord(
-                height=height,
-                areas=grid.areas,
-                lambdas=derived.lambdas,
-                excluded_uavs=derived.excluded_uavs,
-                revenue=rev.revenue,
-                welfare=soc.welfare,
-                sold_revenue=rev.sold,
-                sold_welfare=soc.sold,
-            )
-        else:
-            record = HeightRecord(
-                height=height,
-                areas=grid.areas,
-                lambdas=(),
-                excluded_uavs=derived.excluded_uavs,
-                revenue=0.0,
-                welfare=0.0,
-                sold_revenue=0,
-                sold_welfare=0,
-            )
-        records.append(record)
-    return records

@@ -21,15 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import ConfigError, ScenarioConfig, config_hash
-from .contract import (
-    Contract,
-    MbsLoad,
-    TypeLadder,
-    revenue,
-    social_welfare,
+from .config import ConfigError, GeometryScenario, ScenarioConfig, config_hash
+from .contract import Contract, MbsLoad, TypeLadder, operator_surpluses
+from .geometry import (
+    DerivedTypes,
+    Placement,
+    RegionGrid,
+    derive_types,
+    partition_regions,
 )
-from .geometry import Placement, derive_types, partition_regions
 from .solver import (
     CORRUPT_TIE_BREAK,
     DEFAULT_BRUTE_FORCE_CAP,
@@ -39,7 +39,6 @@ from .solver import (
     solve,
     solve_loads,
 )
-from .stochastic import uav_utility
 
 DEFAULT_ORACLE_INSTANCES = 200
 DEFAULT_ORACLE_SEED = 20260817
@@ -140,16 +139,22 @@ def _write(out_dir: Path, name: str, table: ResultTable) -> str:
     return str(path)
 
 
+def _types_at(
+    geo: GeometryScenario, height: float
+) -> tuple[RegionGrid, DerivedTypes]:
+    """Partition the window with the relays at ``height`` and derive types."""
+    placement = Placement(uav_positions=geo.uav_positions, height=height)
+    grid = partition_regions(
+        placement, geo.terrain, geo.radio, geo.extent, geo.cell_size
+    )
+    return grid, derive_types(grid, geo.density)
+
+
 def _resolve_ladder(config: ScenarioConfig) -> TypeLadder:
     """Explicit ladder, or the one the geometry block induces."""
     if config.ladder is not None:
         return config.ladder
-    geo = config.geometry
-    placement = Placement(uav_positions=geo.uav_positions, height=geo.height)
-    grid = partition_regions(
-        placement, geo.terrain, geo.radio, geo.extent, geo.cell_size
-    )
-    derived = derive_types(grid, geo.density)
+    _, derived = _types_at(config.geometry, config.geometry.height)
     if not derived.lambdas:
         raise ConfigError(
             "geometry: no UAV owns any cells at this height; "
@@ -198,23 +203,19 @@ def run_solve(
     for objective in config.objectives:
         result = solve(ladder, config.mbs, objective, use_k_cap=kcap)
         stem = _OBJECTIVE_STEM[objective]
-        contract_rows = []
-        for t in range(len(ladder.lambdas)):
-            w_t = result.contract.assignment.w[t]
-            p_t = result.contract.prices.p[t]
-            contract_rows.append(
-                (
-                    t + 1,
-                    ladder.lambdas[t],
-                    ladder.counts[t],
-                    w_t,
-                    p_t,
-                    uav_utility(ladder.lambdas[t], w_t) - p_t,
-                )
-            )
+        contract = result.contract
         contract_table = ResultTable(
             columns=("t", "lambda_t", "count", "w_t", "p_t", "surplus"),
-            rows=tuple(contract_rows),
+            rows=tuple(
+                zip(
+                    range(1, ladder.size + 1),
+                    ladder.lambdas,
+                    ladder.counts,
+                    contract.assignment.w,
+                    contract.prices.p,
+                    operator_surpluses(ladder, contract),
+                )
+            ),
             metadata=_metadata(digest),
         )
         trace_table = ResultTable(
@@ -269,6 +270,8 @@ def run_sweep(
     the loads through them in this thread; only the cost row depends on
     the load.  A height sweep re-partitions and solves at every height,
     on up to ``threads`` threads (never more than there are heights).
+    Relays that own no cells at a height are counted in ``n_excluded``;
+    their per-height warning is silenced for the whole sweep.
     """
     if config.sweep is None:
         raise ConfigError("sweep: this command needs a sweep section")
@@ -299,15 +302,7 @@ def run_sweep(
         geo = config.geometry
 
         def point(value: float) -> tuple:
-            placement = Placement(
-                uav_positions=geo.uav_positions, height=value
-            )
-            grid = partition_regions(
-                placement, geo.terrain, geo.radio, geo.extent, geo.cell_size
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                derived = derive_types(grid, geo.density)
+            grid, derived = _types_at(geo, value)
             cells: tuple = (
                 value,
                 float(sum(grid.areas)),
@@ -328,11 +323,17 @@ def run_sweep(
             config, ("height", "total_area_m2", "n_types", "n_excluded")
         )
         workers = min(threads, len(values))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = tuple(pool.map(point, values))
-        else:
-            rows = tuple(point(v) for v in values)
+        # The filter list is process-wide, so setting it here, in the
+        # calling thread, also covers the pool's threads.
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", message=r"UAV \d+ owns no cells", category=UserWarning
+            )
+            if workers > 1:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    rows = tuple(pool.map(point, values))
+            else:
+                rows = tuple(point(v) for v in values)
 
     table = ResultTable(columns=columns, rows=rows, metadata=_metadata(digest))
     files = (_write(out, "sweep.csv", table),)

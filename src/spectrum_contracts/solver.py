@@ -3,14 +3,14 @@
 The seller's problem reduces to choosing a nondecreasing channel vector
 (w_1, ..., w_T) under the budget sum(N_t * w_t) <= M, because optimal
 prices follow mechanically from the assignment.  This module solves that
-combinatorial core three ways:
+combinatorial core two ways:
 
-* ``dp_inner``: a layered dynamic program over types.  State (t, k, w)
-  holds the best achievable value for types t..T when type t receives
-  exactly k channels and w channels of budget remain for types t onward.
-  Monotonicity is enforced by restricting the next type to counts >= k.
-* ``solve_loads``: fills the inner program's tables once for every
-  budget W = 0..M, then for each base-station load in turn subtracts
+* ``solve_loads``: ``build_tables`` fills a layered dynamic program over
+  types.  State (t, k, w) holds the best achievable value for types
+  t..T when type t receives exactly k channels and w channels of budget
+  remain for types t onward; monotonicity is enforced by restricting the
+  next type to counts >= k.  One fill serves every budget W = 0..M.
+  Then, for each base-station load in turn, ``solve_loads`` subtracts
   that load's expected congestion cost of selling W channels and keeps
   the best net value.  Only the cost row depends on the load, so a load
   sweep builds the tables once per objective; ``solve`` is the
@@ -28,9 +28,9 @@ the identical rule to the identical suffix sums, so the two solvers
 agree exactly even where utilities plateau below the tolerance.
 
 Impossible states (not enough budget for the mandated counts) are
-tracked explicitly: ``DpTables.possible`` marks them, their stored value
-is an absorbing sentinel that can never win a comparison against any
-achievable value, and their decision entry is 0.
+tracked explicitly: their stored value is an absorbing sentinel,
+``IMPOSSIBLE``, that can never win a comparison against any achievable
+value, and their decision entry is 0.
 """
 
 from __future__ import annotations
@@ -106,11 +106,6 @@ class DpTables:
 
     opt: np.ndarray
     decision: np.ndarray
-
-    @property
-    def possible(self) -> np.ndarray:
-        """Boolean mask of achievable states."""
-        return self.opt != IMPOSSIBLE
 
 
 @dataclass(frozen=True)
@@ -249,28 +244,6 @@ def _backtrack(
             w -= k * counts[t]
             k = nxt
     return QualityAssignment(tuple(w_vec))
-
-
-def dp_inner(
-    ladder: TypeLadder,
-    objective: Objective,
-    W: int,
-    K: int,
-    tie: TieBreak | None = None,
-) -> tuple[float, QualityAssignment]:
-    """Best monotone assignment for a fixed budget W with counts <= K.
-
-    Returns the achieved objective value (congestion cost not included)
-    and the assignment itself.  K above W is rejected since a single
-    operator could then never be funded.
-    """
-    if tie is None:
-        tie = TieBreak()
-    tables = build_tables(ladder, objective, W, K, tie)
-    top_val, top_idx = _suffix_incumbents(tables.opt[0], tie)
-    value = float(top_val[0, W])
-    assignment = _backtrack(tables, ladder.counts, int(top_idx[0, W]), W)
-    return value, assignment
 
 
 def saturation_cap(ladder: TypeLadder, tol: float = 1e-12) -> int:

@@ -5,8 +5,10 @@ reads as a per-criterion pass/fail report.  Tolerances are stated
 inline; none are loosened beyond what the criterion allows.
 """
 
+import csv
 import math
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ import pytest
 from spectrum_contracts.cli import main
 from spectrum_contracts.config import (
     DEFAULT_NOISE_DBM,
+    SweepSpec,
     _ring_positions,
+    loads_config,
     watts_to_dbm,
 )
 from spectrum_contracts.contract import (
@@ -33,10 +37,10 @@ from spectrum_contracts.geometry import (
     DensityMap,
     RadioParams,
     TerrainParams,
-    height_sweep,
 )
 from spectrum_contracts.runner import (
     run_oracle_check,
+    run_sweep,
     sample_instance,
     strip_timestamp,
 )
@@ -271,36 +275,45 @@ class TestCriterion5LoadSweepShape:
 
 
 class TestCriterion6HeightSweep:
-    def test_criterion_6_area_peaks_inside_and_revenue_height_window(self):
+    def test_criterion_6_area_peaks_inside_and_revenue_height_window(self, tmp_path):
         """Ten relays on a 1000 m ring, reference-table defaults.
 
-        Asserts an interior area maximum and that the revenue-optimal
-        height falls in [600, 750].  Measured optima are included in the
-        failure message for comparison.
+        Runs the ``coverage_height_sweep`` preset, after checking that it
+        is that scenario.  Asserts an interior area maximum and that the
+        revenue-optimal height falls in [600, 750].  Measured optima are
+        included in the failure message for comparison.
         """
-        terrain = TerrainParams(a=11.95, b=0.136, eta_los=2.0, eta_nlos=20.0)
-        radio = RadioParams(
+        preset = resources.files("spectrum_contracts").joinpath(
+            "presets", "coverage_height_sweep.yaml"
+        )
+        config = loads_config(preset.read_text(encoding="utf-8"))
+        geo = config.geometry
+        assert geo.terrain == TerrainParams(
+            a=11.95, b=0.136, eta_los=2.0, eta_nlos=20.0
+        )
+        assert geo.radio == RadioParams(
             frequency=3.0e9,
             p_mbs=watts_to_dbm(10.0),
             p_uav=watts_to_dbm(0.05),
             noise=DEFAULT_NOISE_DBM,
         )
-        density = DensityMap(tuple(v * 1e-6 for v in np.linspace(10.0, 20.0, 10)))
-        heights = [float(h) for h in range(200, 1001, 25)]
-        records = height_sweep(
-            heights,
-            uav_positions=_ring_positions(10, 1000.0),
-            terrain=terrain,
-            radio=radio,
-            density=density,
-            total_channels=200,
-            load=150.0,
-            extent=3000.0,
-            cell_size=10.0,
+        assert geo.uav_positions == _ring_positions(10, 1000.0)
+        assert geo.density == DensityMap(
+            tuple(v * 1e-6 for v in np.linspace(10.0, 20.0, 10))
         )
-        totals = np.array([sum(r.areas) for r in records])
-        revenues = np.array([r.revenue for r in records])
-        welfares = np.array([r.welfare for r in records])
+        assert (geo.extent, geo.cell_size) == (3000.0, 10.0)
+        assert config.mbs == MbsLoad(200, 150.0)
+        heights = [float(h) for h in range(200, 1001, 25)]
+        assert config.sweep == SweepSpec("height", tuple(heights))
+
+        (path,) = run_sweep(config, out_dir=str(tmp_path)).files
+        with open(path, encoding="utf-8") as handle:
+            rows = list(
+                csv.DictReader(line for line in handle if not line.startswith("#"))
+            )
+        totals = np.array([float(r["total_area_m2"]) for r in rows])
+        revenues = np.array([float(r["mbs_revenue"]) for r in rows])
+        welfares = np.array([float(r["social_welfare"]) for r in rows])
 
         peak = int(totals.argmax())
         assert 0 < peak < len(heights) - 1

@@ -1,6 +1,7 @@
 """Tests for scenario parsing, orchestration, and the CLI surface."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -392,6 +393,18 @@ class TestRunSweep:
         assert float(last[1]) == 0.0
         assert int(last[2]) == 0 and int(last[3]) == 4
         assert all(float(v) == 0.0 for v in last[4:])
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_height_sweep_silences_only_its_exclusion_warnings(self, tmp_path, threads):
+        config = loads_config(
+            GEOMETRY + "sweep: {parameter: height, values: [400.0, 20000.0, 30000.0]}\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            before = list(warnings.filters)
+            run_sweep(config, out_dir=str(tmp_path), threads=threads)
+            assert warnings.filters == before
+        assert not [w for w in caught if "owns no cells" in str(w.message)]
 
 
 class TestOracleCheck:

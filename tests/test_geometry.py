@@ -1,10 +1,22 @@
 """Tests for the air-to-ground channel model and coverage partition."""
 
+import ast
+import csv
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from spectrum_contracts import geometry
+from spectrum_contracts.config import (
+    ConfigError,
+    GeometryScenario,
+    ScenarioConfig,
+    SweepSpec,
+    loads_config,
+)
+from spectrum_contracts.contract import MbsLoad
 from spectrum_contracts.geometry import (
     MBS_OWNER,
     DensityMap,
@@ -13,13 +25,14 @@ from spectrum_contracts.geometry import (
     RegionGrid,
     TerrainParams,
     derive_types,
-    height_sweep,
     p_los,
     partition_regions,
     pathloss_mbs,
     pathloss_uav,
     snr,
 )
+from spectrum_contracts.runner import run_sweep
+from spectrum_contracts.solver import Objective
 
 URBAN = TerrainParams(a=11.95, b=0.136, eta_los=2.0, eta_nlos=20.0)
 SUBURBAN = TerrainParams(a=5.0, b=0.2, eta_los=0.1, eta_nlos=21.0)
@@ -308,56 +321,86 @@ class TestDeriveTypes:
 
 
 class TestHeightSweep:
-    DENSITY = DensityMap((12e-6,) * 10)
+    """The height sweep is ``run_sweep``'s height branch: one partition,
+    one type derivation and both solves per height."""
 
-    def _sweep(self, heights, **overrides):
-        kwargs = dict(
-            uav_positions=symmetric_ring(1000.0),
-            terrain=URBAN,
-            radio=RADIO,
-            density=self.DENSITY,
-            total_channels=60,
-            load=40.0,
-            extent=3000.0,
-            cell_size=25.0,
+    DENSITY = DensityMap((12e-6,) * 10)
+    GEOMETRY = GeometryScenario(
+        terrain=URBAN,
+        radio=RADIO,
+        uav_positions=symmetric_ring(1000.0),
+        height=400.0,
+        density=DENSITY,
+        extent=3000.0,
+        cell_size=25.0,
+    )
+
+    def _partition(self, height):
+        place = Placement(uav_positions=symmetric_ring(1000.0), height=height)
+        return partition_regions(place, URBAN, RADIO, extent=3000.0, cell_size=25.0)
+
+    def _sweep(self, heights, out_dir):
+        config = ScenarioConfig(
+            ladder=None,
+            geometry=self.GEOMETRY,
+            mbs=MbsLoad(60, 40.0),
+            objectives=tuple(Objective),
+            use_k_cap=True,
+            sweep=SweepSpec("height", tuple(heights)),
+            output_dir=str(out_dir),
         )
-        kwargs.update(overrides)
-        return height_sweep(heights, **kwargs)
+        (path,) = run_sweep(config).files
+        with open(path, encoding="utf-8") as handle:
+            lines = [line for line in handle if not line.startswith("#")]
+        return [
+            {key: float(value) for key, value in row.items()}
+            for row in csv.DictReader(lines)
+        ]
 
     def test_area_rises_then_falls(self):
-        records = self._sweep([250.0, 400.0, 700.0])
-        totals = [sum(r.areas) for r in records]
+        totals = [sum(self._partition(h).areas) for h in (250.0, 400.0, 700.0)]
         assert totals[1] > totals[0]
         assert totals[1] > totals[2]
 
-    def test_all_regions_lost_yields_a_zero_record(self):
-        (record,) = self._sweep([5000.0])
-        assert record.areas == (0.0,) * 10
-        assert record.lambdas == ()
-        assert record.excluded_uavs == tuple(range(10))
-        assert record.revenue == 0.0 and record.welfare == 0.0
-        assert record.sold_revenue == 0 and record.sold_welfare == 0
+    def test_all_regions_lost_yields_a_zero_record(self, tmp_path):
+        assert self._partition(5000.0).areas == (0.0,) * 10
+        (row,) = self._sweep([5000.0], tmp_path)
+        assert row["total_area_m2"] == 0.0
+        assert row["n_types"] == 0
+        assert row["n_excluded"] == 10
+        assert row["mbs_revenue"] == 0.0 and row["social_welfare"] == 0.0
+        assert row["mbs_sold"] == 0 and row["social_sold"] == 0
 
-    def test_larger_regions_mean_larger_revenue_and_welfare(self):
+    def test_larger_regions_mean_larger_revenue_and_welfare(self, tmp_path):
         # Every type mean grows with the region areas between these two
         # heights, which must push both objectives up.
-        low, high = self._sweep([250.0, 400.0])
-        assert all(b > a for a, b in zip(low.lambdas, high.lambdas))
-        assert high.revenue > low.revenue
-        assert high.welfare > low.welfare
+        low, high = (
+            derive_types(self._partition(h), self.DENSITY).lambdas
+            for h in (250.0, 400.0)
+        )
+        assert all(b > a for a, b in zip(low, high))
+        low, high = self._sweep([250.0, 400.0], tmp_path)
+        assert high["mbs_revenue"] > low["mbs_revenue"]
+        assert high["social_welfare"] > low["social_welfare"]
 
     def test_heights_must_be_ascending_and_nonempty(self):
-        with pytest.raises(ValueError, match="at least one height"):
-            self._sweep([])
-        with pytest.raises(ValueError, match="strictly ascending"):
-            self._sweep([400.0, 300.0])
+        text = (
+            "geometry:\n  placement: {height: 400.0, uav_ring: {count: 4, radius: 800.0}}\n"
+            "  densities_per_km2: 12.0\n"
+            "mbs: {total_channels: 30, load: 10.0}\n"
+        )
+        with pytest.raises(ConfigError, match="non-empty"):
+            loads_config(text + "sweep: {parameter: height, values: []}\n")
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            loads_config(text + "sweep: {parameter: height, values: [400.0, 300.0]}\n")
 
-    def test_records_carry_the_partition_areas(self):
-        (record,) = self._sweep([400.0])
-        place = Placement(uav_positions=symmetric_ring(1000.0), height=400.0)
-        grid = partition_regions(place, URBAN, RADIO, extent=3000.0, cell_size=25.0)
-        assert record.areas == grid.areas
-        assert record.lambdas == tuple(a * 12e-6 for a in grid.areas)
+    def test_records_carry_the_partition_areas(self, tmp_path):
+        grid = self._partition(400.0)
+        derived = derive_types(grid, self.DENSITY)
+        assert derived.lambdas == tuple(a * 12e-6 for a in grid.areas)
+        (row,) = self._sweep([400.0], tmp_path)
+        assert row["total_area_m2"] == float(sum(grid.areas))
+        assert row["n_types"] == len(derived.lambdas)
 
 
 class TestParameterValidation:
@@ -392,3 +435,17 @@ class TestParameterValidation:
         owner = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(ValueError, match="exceed the analysis window"):
             RegionGrid(extent=10.0, cell_size=10.0, owner=owner, areas=(500.0,))
+
+
+def test_geometry_imports_no_later_layer():
+    # Importing the module runs the package root, which loads every
+    # layer, so the layering is read from the source instead.
+    tree = ast.parse(inspect.getsource(geometry))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"solver", "runner", "config"}

@@ -15,11 +15,14 @@ from spectrum_contracts.contract import (
 )
 from spectrum_contracts.solver import (
     CORRUPT_TIE_BREAK,
+    IMPOSSIBLE,
     Objective,
+    TieBreak,
+    _scan_preferred,
+    _suffix_incumbents,
     brute_force_solve,
     build_tables,
     count_monotone_assignments,
-    dp_inner,
     saturation_cap,
     solve,
     solve_loads,
@@ -77,28 +80,44 @@ def _ten_type_ladder():
     return TypeLadder(tuple(float(t) for t in range(1, 11)), (1,) * 10)
 
 
+# A base station this idle loses under 1e-5 by selling every channel, far
+# less than any gain step of the small ladders below, so the solver's
+# assignment is the inner program's optimum at the full budget.
+IDLE_LOAD = 1e-5
+
+
+def _inner(ladder, objective, W):
+    """Inner value at budget W and the chosen assignment, with no cap."""
+    result = solve(ladder, MbsLoad(W, IDLE_LOAD), objective, use_k_cap=False)
+    return result.trace[W].inner_value, result.contract.assignment
+
+
 class TestDpInner:
     def test_zero_budget_gives_zero_assignment(self):
+        # Under a saturated base station every sold channel costs about
+        # one served user, more than any operator can earn from it, so
+        # the scan settles on budget 0.
         ladder = TypeLadder((1.0, 2.0), (1, 1))
-        value, assignment = dp_inner(ladder, Objective.MBS_REVENUE, 0, 0)
-        assert value == 0.0
-        assert assignment.w == (0, 0)
+        result = solve(ladder, MbsLoad(4, 1e4), Objective.MBS_REVENUE, use_k_cap=False)
+        assert result.trace[0].inner_value == 0.0
+        assert result.sold == 0
+        assert result.contract.assignment.w == (0, 0)
 
     def test_cap_above_budget_is_rejected(self):
         ladder = TypeLadder((1.0,), (1,))
         with pytest.raises(ValueError, match="must not exceed"):
-            dp_inner(ladder, Objective.MBS_REVENUE, 3, 4)
+            build_tables(ladder, Objective.MBS_REVENUE, 3, 4)
 
     def test_single_type_enumerates_gains(self):
         ladder = TypeLadder((2.5,), (1,))
-        value, assignment = dp_inner(ladder, Objective.MBS_REVENUE, 3, 3)
+        value, assignment = _inner(ladder, Objective.MBS_REVENUE, 3)
         candidates = [gain(ladder, 0, k) for k in range(4)]
         assert value == max(candidates)
         assert assignment.w == (int(np.argmax(candidates)),)
 
     def test_two_types_match_pair_enumeration(self):
         ladder = TypeLadder((1.0, 2.0), (1, 1))
-        value, assignment = dp_inner(ladder, Objective.MBS_REVENUE, 4, 4)
+        value, assignment = _inner(ladder, Objective.MBS_REVENUE, 4)
         best = -math.inf
         best_pair = None
         for w1 in range(5):
@@ -117,10 +136,12 @@ class TestDpInner:
             ladder, mbs = _random_instance(rng)
             W = mbs.total_channels
             for objective in Objective:
-                value, assignment = dp_inner(ladder, objective, W, W)
+                result = solve(ladder, mbs, objective, use_k_cap=False)
+                assignment = result.contract.assignment
                 assert assignment.is_monotone
                 spent = sum(c * w for c, w in zip(ladder.counts, assignment.w))
-                assert spent <= W
+                assert spent == result.sold <= W
+                value = result.trace[spent].inner_value
                 direct = math.fsum(
                     gain(ladder, t, w) for t, w in enumerate(assignment.w)
                 ) if objective is Objective.MBS_REVENUE else math.fsum(
@@ -135,7 +156,7 @@ class TestDpInner:
         tables = build_tables(ladder, Objective.MBS_REVENUE, W, K)
         assert tables.opt.shape == (3, K + 1, W + 1)
         assert tables.decision.shape == (3, K + 1, W + 1)
-        possible = tables.possible
+        possible = tables.opt != IMPOSSIBLE
         for t, count in enumerate(ladder.counts):
             for k in range(K + 1):
                 for w in range(W + 1):
@@ -203,14 +224,13 @@ class TestSolve:
         rng = np.random.default_rng(44)
         for _ in range(10):
             ladder, mbs = _random_instance(rng, max_budget=10)
-            cap = saturation_cap(ladder)
             res = solve(ladder, mbs, Objective.MBS_REVENUE)
-            for point in res.trace:
+            assert res.trace[0].inner_value == 0.0
+            for point in res.trace[1:]:
                 w = point.capacity
-                value, _ = dp_inner(
-                    ladder, Objective.MBS_REVENUE, w, min(w, cap)
-                )
-                assert value == point.inner_value
+                # A dedicated run at budget w caps counts at min(w, cap).
+                dedicated = solve(ladder, MbsLoad(w, mbs.load), Objective.MBS_REVENUE)
+                assert dedicated.trace[w].inner_value == point.inner_value
 
     def test_saturation_cap_changes_nothing(self):
         rng = np.random.default_rng(45)
@@ -245,6 +265,39 @@ class TestSolve:
             base = solve(ladder, mbs, Objective.MBS_REVENUE)
             more = solve(bumped, mbs, Objective.MBS_REVENUE)
             assert more.revenue >= base.revenue - 1e-9
+
+
+class TestTieRule:
+    """Values at or above 1e-3 that lie within eps of each other tie."""
+
+    TIED = np.array([[0.5], [0.5 + 4e-13]])
+
+    def test_suffix_pick_takes_the_smallest_tied_count(self):
+        best_val, best_idx = _suffix_incumbents(self.TIED, TieBreak())
+        assert best_val[0, 0] == 0.5 + 4e-13
+        assert best_idx[0, 0] == 0
+        assert best_idx[1, 0] == 1
+
+    def test_suffix_pick_prefer_larger_takes_the_largest_tied_count(self):
+        _, best_idx = _suffix_incumbents(self.TIED, TieBreak(prefer_larger=True))
+        assert best_idx[0, 0] == 1
+        values = np.array([[0.5 + 4e-13], [0.5], [0.5 + 2e-13]])
+        best_val, best_idx = _suffix_incumbents(
+            values, TieBreak(prefer_larger=True)
+        )
+        assert best_val[0, 0] == 0.5 + 4e-13
+        assert best_idx[0, 0] == 2
+
+    def test_suffix_pick_outside_eps_takes_the_maximum(self):
+        values = np.array([[0.5], [0.5 + 4e-12]])
+        _, best_idx = _suffix_incumbents(values, TieBreak())
+        assert best_idx[0, 0] == 1
+
+    def test_scan_takes_the_smallest_tied_budget(self):
+        net = self.TIED[:, 0]
+        assert _scan_preferred(net, TieBreak()) == 0
+        assert _scan_preferred(net, TieBreak(prefer_larger=True)) == 1
+        assert _scan_preferred(np.array([0.5, 0.5 + 4e-12]), TieBreak()) == 1
 
 
 class TestBruteForce:

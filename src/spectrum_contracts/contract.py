@@ -32,9 +32,11 @@ __all__ = [
     "lemma2_conditions",
     "optimal_prices",
     "revenue",
+    "revenue_at_cost",
     "gain",
     "gain_from_utilities",
     "social_welfare",
+    "welfare_at_cost",
     "total_weight",
     "operator_surpluses",
 ]
@@ -414,6 +416,18 @@ def total_weight(ladder: TypeLadder, assignment: QualityAssignment) -> int:
     return sum(c * v for c, v in zip(ladder.counts, assignment.w))
 
 
+def _affordable_weight(
+    ladder: TypeLadder, assignment: QualityAssignment, mbs: MbsLoad
+) -> int:
+    sold = total_weight(ladder, assignment)
+    if sold > mbs.total_channels:
+        raise ValueError(
+            f"assignment needs {sold} channels but the base station holds "
+            f"{mbs.total_channels}"
+        )
+    return sold
+
+
 def revenue(ladder: TypeLadder, contract: Contract, mbs: MbsLoad) -> float:
     """Net payoff of the base station for a given contract.
 
@@ -431,16 +445,22 @@ def revenue(ladder: TypeLadder, contract: Contract, mbs: MbsLoad) -> float:
     Raises:
         ValueError: If the assignment needs more channels than the stock.
     """
-    sold = total_weight(ladder, contract.assignment)
-    if sold > mbs.total_channels:
-        raise ValueError(
-            f"assignment needs {sold} channels but the base station holds "
-            f"{mbs.total_channels}"
-        )
+    sold = _affordable_weight(ladder, contract.assignment, mbs)
+    return revenue_at_cost(
+        ladder, contract, mbs_cost(sold, mbs.total_channels, mbs.load)
+    )
+
+
+def revenue_at_cost(ladder: TypeLadder, contract: Contract, cost: float) -> float:
+    """Payments collected from every operator minus a given channel cost.
+
+    ``revenue`` is this form with cost C(sum_t count_t * w_t); a caller
+    holding the whole cost row C(0..M) passes its entry instead.
+    """
     payments = math.fsum(
         c * p for c, p in zip(ladder.counts, contract.prices.p)
     )
-    return payments - mbs_cost(sold, mbs.total_channels, mbs.load)
+    return payments - cost
 
 
 def gain(ladder: TypeLadder, t: int, w: int) -> float:
@@ -512,17 +532,24 @@ def social_welfare(
     Raises:
         ValueError: If the assignment exceeds the channel stock.
     """
-    sold = total_weight(ladder, assignment)
-    if sold > mbs.total_channels:
-        raise ValueError(
-            f"assignment needs {sold} channels but the base station holds "
-            f"{mbs.total_channels}"
-        )
+    sold = _affordable_weight(ladder, assignment, mbs)
+    return welfare_at_cost(
+        ladder, assignment, mbs_cost(sold, mbs.total_channels, mbs.load)
+    )
+
+
+def welfare_at_cost(
+    ladder: TypeLadder, assignment: QualityAssignment, cost: float
+) -> float:
+    """Utility delivered to all operators minus a given channel cost.
+
+    ``social_welfare`` is this form with cost C(sum_t count_t * w_t).
+    """
     served = math.fsum(
         c * uav_utility(lam, v)
         for c, lam, v in zip(ladder.counts, ladder.lambdas, assignment.w)
     )
-    return served - mbs_cost(sold, mbs.total_channels, mbs.load)
+    return served - cost
 
 
 def operator_surpluses(ladder: TypeLadder, contract: Contract) -> tuple[float, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -257,6 +258,14 @@ def _sweep_columns(config: ScenarioConfig, leading: tuple[str, ...]) -> tuple[st
     return tuple(columns)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one, else the machine's CPU count (1 when that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(
     config: ScenarioConfig,
     *,
@@ -269,7 +278,8 @@ def run_sweep(
     A load sweep builds the solver tables once per objective and streams
     the loads through them in this thread; only the cost row depends on
     the load.  A height sweep re-partitions and solves at every height,
-    on up to ``threads`` threads (never more than there are heights).
+    on up to ``threads`` threads (never more than there are heights or
+    CPUs this process may use).
     Relays that own no cells at a height are counted in ``n_excluded``;
     their per-height warning is silenced for the whole sweep.
     """
@@ -322,7 +332,7 @@ def run_sweep(
         columns = _sweep_columns(
             config, ("height", "total_area_m2", "n_types", "n_excluded")
         )
-        workers = min(threads, len(values))
+        workers = min(threads, len(values), _usable_cpus())
         # The filter list is process-wide, so setting it here, in the
         # calling thread, also covers the pool's threads.
         with warnings.catch_warnings():

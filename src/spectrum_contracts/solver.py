@@ -9,7 +9,9 @@ combinatorial core two ways:
   types.  State (t, k, w) holds the best achievable value for types
   t..T when type t receives exactly k channels and w channels of budget
   remain for types t onward; monotonicity is enforced by restricting the
-  next type to counts >= k.  One fill serves every budget W = 0..M.
+  next type to counts >= k.  Layer t is computed from layer t+1 alone,
+  so only two value layers are held at a time, plus every layer's
+  decisions for the backtrack.  One fill serves every budget W = 0..M.
   Then, for each base-station load in turn, ``solve_loads`` subtracts
   that load's expected congestion cost of selling W channels and keeps
   the best net value.  Only the cost row depends on the load, so a load
@@ -50,14 +52,23 @@ from .contract import (
     TypeLadder,
     gain_from_utilities,
     optimal_prices,
-    revenue,
-    social_welfare,
+    revenue_at_cost,
+    total_weight,
+    welfare_at_cost,
 )
 from .stochastic import cost_table, saturation_channels, utility_table
 
 IMPOSSIBLE = float("-inf")
 
 DEFAULT_BRUTE_FORCE_CAP = 10_000_000
+
+# Largest DP working set one ``build_tables`` call will allocate, in bytes
+# (512 MiB).  With the saturation cap the largest ladders in use need about
+# 25 MB (T=100, M=2000, K=93), so only uncapped fills of large ladders come
+# near it; those cannot change the optimum, and the capped run gives the
+# same result.  The limit is per fill: a pooled height sweep holds one fill
+# per worker at once.
+MAX_TABLE_BYTES = 512 * 2**20
 
 
 class Objective(Enum):
@@ -95,12 +106,13 @@ CORRUPT_TIE_BREAK = TieBreak(eps=0.05, prefer_larger=True)
 
 @dataclass(frozen=True)
 class DpTables:
-    """Value and decision tables of one inner dynamic program.
+    """First-type values and all decisions of one inner dynamic program.
 
-    ``opt[t, k, w]`` is the best total gain for types t.. when type t
-    takes exactly k channels out of a remaining budget of w.  States
-    that cannot be realized hold the sentinel; ``decision`` gives the
-    chosen count for type t+1 (0 where no choice exists), stored in the
+    ``opt[k, w]`` is the best total gain over every type when the first
+    type takes exactly k channels out of a budget of w.  States that
+    cannot be realized hold the sentinel.  ``decision[t, k, w]`` gives
+    the chosen count for type t+1 when type t takes k channels out of a
+    remaining budget of w (0 where no choice exists), stored in the
     narrowest unsigned type that holds the cap K.
     """
 
@@ -119,13 +131,28 @@ class TracePoint:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Best contract found, its evaluation, and the per-budget trace."""
+    """Best contract found, its evaluation, and the per-budget values.
+
+    ``inner_values[w]`` is the best gross value within budget w and
+    ``objective_values[w]`` that value net of the cost of selling w
+    channels; ``trace`` pairs them per budget.
+    """
 
     contract: Contract
     revenue: float
     welfare: float
     sold: int
-    trace: tuple[TracePoint, ...] = field(repr=False)
+    inner_values: tuple[float, ...] = field(repr=False)
+    objective_values: tuple[float, ...] = field(repr=False)
+
+    @property
+    def trace(self) -> tuple[TracePoint, ...]:
+        return tuple(
+            TracePoint(capacity=w, inner_value=inner, objective_value=net)
+            for w, (inner, net) in enumerate(
+                zip(self.inner_values, self.objective_values)
+            )
+        )
 
 
 def _gain_rows(ladder: TypeLadder, objective: Objective, top: int) -> np.ndarray:
@@ -187,6 +214,46 @@ def _suffix_incumbents(
     return best_val, best_idx
 
 
+def dp_table_bytes(T: int, K: int, W: int) -> int:
+    """Bytes ``build_tables`` holds at once for T types, cap K, budget W.
+
+    The decision table (T layers in the narrowest unsigned type for K),
+    two float64 value layers, and the suffix maxima and picks of the
+    layer below (float64 and int64), each layer (K+1) x (W+1).
+    """
+    cells = (K + 1) * (W + 1)
+    return cells * (T * np.min_scalar_type(K).itemsize + 4 * 8)
+
+
+def _fill_layer(
+    layer: np.ndarray,
+    below: np.ndarray,
+    gains: np.ndarray,
+    count: int,
+    decision: np.ndarray,
+    tie: TieBreak,
+) -> None:
+    """Values and decisions of one type from the layer of the next type.
+
+    The suffix maxima and picks of ``below`` live only for this call, so
+    a fill holds one such pair at a time.
+    """
+    nxt_val, nxt_idx = _suffix_incumbents(below, tie)
+    layer.fill(IMPOSSIBLE)
+    K = layer.shape[0] - 1
+    W = layer.shape[1] - 1
+    for k in range(K + 1):
+        need = k * count
+        if need > W:
+            break
+        width = W - need + 1
+        cont_val = nxt_val[k, :width]
+        cont_idx = nxt_idx[k, :width]
+        reachable = cont_val != IMPOSSIBLE
+        layer[k, need:] = np.where(reachable, gains[k] + cont_val, IMPOSSIBLE)
+        decision[k, need:] = np.where(reachable, cont_idx, 0)
+
+
 def build_tables(
     ladder: TypeLadder,
     objective: Objective,
@@ -194,53 +261,56 @@ def build_tables(
     K: int,
     tie: TieBreak | None = None,
 ) -> DpTables:
-    """Fill the layered value/decision tables for budget W and cap K."""
+    """Fill the layered value/decision tables for budget W and cap K.
+
+    Walks the types from the last to the first, keeping two value layers
+    and every layer's decisions.  Refuses, before allocating anything,
+    a fill whose working set (``dp_table_bytes``) exceeds
+    ``MAX_TABLE_BYTES`` (512 MiB), with a ``ValueError``.  The limit is
+    per call, so concurrent fills (a pooled height sweep) add up.
+    """
     if not isinstance(W, int) or isinstance(W, bool) or W < 0:
         raise ValueError(f"W must be a nonnegative integer, got {W!r}")
     if not isinstance(K, int) or isinstance(K, bool) or K < 0:
         raise ValueError(f"K must be a nonnegative integer, got {K!r}")
     if K > W:
         raise ValueError(f"per-type cap K={K} must not exceed the budget W={W}")
+    T = ladder.size
+    needed = dp_table_bytes(T, K, W)
+    if needed > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"DP tables for T={T} types, K={K}, M={W} channels need "
+            f"{needed} bytes, over the limit of {MAX_TABLE_BYTES} bytes"
+        )
     if tie is None:
         tie = TieBreak()
-    T = ladder.size
     counts = ladder.counts
     gains = _gain_rows(ladder, objective, K)
-    opt = np.full((T, K + 1, W + 1), IMPOSSIBLE, dtype=np.float64)
     decision = np.zeros((T, K + 1, W + 1), dtype=np.min_scalar_type(K))
+    below = np.full((K + 1, W + 1), IMPOSSIBLE, dtype=np.float64)
+    layer = np.empty_like(below)
 
     for k in range(K + 1):
         need = k * counts[T - 1]
         if need <= W:
-            opt[T - 1, k, need:] = gains[T - 1, k]
+            below[k, need:] = gains[T - 1, k]
 
     for t in range(T - 2, -1, -1):
-        nxt_val, nxt_idx = _suffix_incumbents(opt[t + 1], tie)
-        for k in range(K + 1):
-            need = k * counts[t]
-            if need > W:
-                break
-            width = W - need + 1
-            cont_val = nxt_val[k, :width]
-            cont_idx = nxt_idx[k, :width]
-            reachable = cont_val != IMPOSSIBLE
-            opt[t, k, need:] = np.where(
-                reachable, gains[t, k] + cont_val, IMPOSSIBLE
-            )
-            decision[t, k, need:] = np.where(reachable, cont_idx, 0)
-    return DpTables(opt=opt, decision=decision)
+        _fill_layer(layer, below, gains[t], counts[t], decision[t], tie)
+        layer, below = below, layer
+    return DpTables(opt=below, decision=decision)
 
 
 def _backtrack(
-    tables: DpTables, counts: tuple[int, ...], first_k: int, W: int
+    decision: np.ndarray, counts: tuple[int, ...], first_k: int, W: int
 ) -> QualityAssignment:
-    T = tables.opt.shape[0]
+    T = decision.shape[0]
     w_vec = []
     k, w = first_k, W
     for t in range(T):
         w_vec.append(k)
         if t < T - 1:
-            nxt = int(tables.decision[t, k, w])
+            nxt = int(decision[t, k, w])
             w -= k * counts[t]
             k = nxt
     return QualityAssignment(tuple(w_vec))
@@ -291,24 +361,18 @@ def solve_loads(
     M = total_channels
     K = min(M, saturation_cap(ladder)) if use_k_cap else M
     tables = build_tables(ladder, objective, M, K, tie)
-    top_val, top_idx = _suffix_incumbents(tables.opt[0], tie)
+    top_val, top_idx = _suffix_incumbents(tables.opt, tie)
     inner_vals = top_val[0]
+    inner_values = tuple(inner_vals.tolist())
     for load in loads:
         mbs = MbsLoad(M, load)
-        net = inner_vals - cost_table(M, mbs.load)
+        costs = cost_table(M, mbs.load)
+        net = inner_vals - costs
         best_w = _scan_preferred(net, tie)
-        trace = tuple(
-            TracePoint(
-                capacity=w,
-                inner_value=float(inner_vals[w]),
-                objective_value=float(net[w]),
-            )
-            for w in range(M + 1)
-        )
         assignment = _backtrack(
-            tables, ladder.counts, int(top_idx[0, best_w]), best_w
+            tables.decision, ladder.counts, int(top_idx[0, best_w]), best_w
         )
-        yield _package(ladder, mbs, assignment, trace)
+        yield _package(ladder, assignment, costs, inner_values, net)
 
 
 def solve(
@@ -334,18 +398,22 @@ def solve(
 
 def _package(
     ladder: TypeLadder,
-    mbs: MbsLoad,
     assignment: QualityAssignment,
-    trace: tuple[TracePoint, ...],
+    costs: np.ndarray,
+    inner_values: tuple[float, ...],
+    net: np.ndarray,
 ) -> SolverResult:
+    """Price the assignment and score it against the load's cost row."""
     contract = Contract(assignment, optimal_prices(ladder, assignment))
-    sold = sum(c * w for c, w in zip(ladder.counts, assignment.w))
+    sold = total_weight(ladder, assignment)
+    cost = float(costs[sold])
     return SolverResult(
         contract=contract,
-        revenue=revenue(ladder, contract, mbs),
-        welfare=social_welfare(ladder, assignment, mbs),
+        revenue=revenue_at_cost(ladder, contract, cost),
+        welfare=welfare_at_cost(ladder, assignment, cost),
         sold=sold,
-        trace=trace,
+        inner_values=inner_values,
+        objective_values=tuple(net.tolist()),
     )
 
 
@@ -478,15 +546,7 @@ def brute_force_solve(
             by_sold[sold] = value
 
     inner = np.maximum.accumulate(by_sold)
-    net = inner - np.asarray(costs)
+    net = inner - costs
     best_w = _scan_preferred(net, tie)
-    trace = tuple(
-        TracePoint(
-            capacity=w,
-            inner_value=float(inner[w]),
-            objective_value=float(net[w]),
-        )
-        for w in range(M + 1)
-    )
     assignment = _select_assignment(gains, counts, best_w, tie)
-    return _package(ladder, mbs, assignment, trace)
+    return _package(ladder, assignment, costs, tuple(inner.tolist()), net)

@@ -285,6 +285,28 @@ class TestRunSolve:
                 run_solve(loads_config(text), out_dir=str(tmp_path))
 
 
+def _record_pool_sizes(monkeypatch):
+    """Swap the sweep's executor for one that records its size and starts
+    no thread; returns the list of sizes requested."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values):
+            return map(fn, values)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+    return requested
+
+
 class TestRunSweep:
     def test_single_value_sweep_matches_solve(self, tmp_path):
         config = loads_config(MINIMAL + "sweep: {parameter: load, values: [4.0]}\n")
@@ -324,24 +346,8 @@ class TestRunSweep:
         assert texts[0] == texts[1]
 
     def test_pool_never_outnumbers_the_sweep_points(self, tmp_path, monkeypatch):
-        requested = []
-
-        class RecordingPool:
-            """Stands in for the executor: records its size, starts no thread."""
-
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, values):
-                return map(fn, values)
-
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+        requested = _record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 8)
         config = loads_config(
             GEOMETRY + "sweep: {parameter: height, values: [300.0, 400.0]}\n"
         )
@@ -351,6 +357,33 @@ class TestRunSweep:
         single = loads_config(GEOMETRY + "sweep: {parameter: height, values: [400.0]}\n")
         run_sweep(single, out_dir=str(tmp_path / "single"), threads=8)
         assert requested == [2, 2]
+
+    def test_pool_never_outnumbers_the_cpus(self, tmp_path, monkeypatch):
+        requested = _record_pool_sizes(monkeypatch)
+        config = loads_config(
+            GEOMETRY + "sweep: {parameter: height, values: [300.0, 400.0, 500.0]}\n"
+        )
+        # The affinity mask counts, not the machine's CPUs.
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            runner.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        run_sweep(config, out_dir=str(tmp_path / "two"), threads=8)
+        assert requested == [2]
+        # Without a mask the CPU count caps it; an unknown count runs the
+        # sweep in the calling thread.
+        monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 3)
+        run_sweep(config, out_dir=str(tmp_path / "three"), threads=8)
+        assert requested == [2, 3]
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
+        run_sweep(config, out_dir=str(tmp_path / "one"), threads=8)
+        assert requested == [2, 3]
+        texts = [
+            strip_timestamp((tmp_path / sub / "sweep.csv").read_text())
+            for sub in ("two", "three", "one")
+        ]
+        assert texts[0] == texts[1] == texts[2]
 
     def test_load_sweep_builds_tables_once_per_objective(self, tmp_path, monkeypatch):
         built = []
@@ -512,6 +545,23 @@ class TestCommandLine:
         code = main(["oracle-check", "--instances", "40", "--cap", "2"])
         assert code == 1
         assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_oversized_tables_exit_one(self, tmp_path, capsys):
+        lambdas = ", ".join(str(float(v)) for v in range(1, 101))
+        config = (
+            f"ladder:\n  lambdas: [{lambdas}]\n"
+            "mbs:\n  total_channels: 2000\n  load: 1500.0\n"
+        )
+        out = tmp_path / "o"
+        code = main(
+            ["solve", "--config", self._write(tmp_path, config), "--out", str(out), "--no-kcap"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        needed = solver.dp_table_bytes(100, 2000, 2000)
+        assert "T=100 types, K=2000, M=2000 channels" in err
+        assert f"need {needed} bytes" in err
+        assert not list(out.glob("*.csv"))
 
     def test_no_kcap_flag_is_accepted(self, tmp_path, capsys):
         cfg = self._write(tmp_path, MINIMAL)

@@ -9,12 +9,15 @@ from a commit whose outputs are known to be right: run
 each CSV through ``runner.strip_timestamp``.
 """
 
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from spectrum_contracts.cli import main
+from spectrum_contracts.config import loads_config
 from spectrum_contracts.runner import strip_timestamp
+from spectrum_contracts.solver import MAX_TABLE_BYTES, dp_table_bytes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,3 +38,16 @@ def test_preset_outputs_match_golden_files(preset, command, tmp_path, capsys):
         fresh = strip_timestamp((tmp_path / name).read_bytes().decode("utf-8"))
         golden = (GOLDEN / preset / name).read_bytes()
         assert fresh.encode("utf-8") == golden, f"{preset}/{name} differs from its golden file"
+
+
+@pytest.mark.parametrize("preset", [preset for preset, _ in PRESETS])
+def test_preset_fits_the_default_table_budget(preset):
+    """Even with the saturation cap off (K = M), every preset's DP fits."""
+    text = resources.files("spectrum_contracts").joinpath("presets", f"{preset}.yaml")
+    config = loads_config(text.read_text(encoding="utf-8"))
+    if config.ladder is not None:
+        types = config.ladder.size
+    else:
+        types = len(config.geometry.uav_positions)
+    M = config.mbs.total_channels
+    assert dp_table_bytes(types, M, M) <= MAX_TABLE_BYTES

@@ -1,21 +1,26 @@
 """Tests for the assignment search: inner DP, outer scan, oracle agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectrum_contracts import solver
 from spectrum_contracts.contract import (
     MbsLoad,
     TypeLadder,
     gain,
+    revenue,
+    social_welfare,
     validate_feasibility,
 )
 from spectrum_contracts.solver import (
     CORRUPT_TIE_BREAK,
     IMPOSSIBLE,
+    MAX_TABLE_BYTES,
     Objective,
     TieBreak,
     _scan_preferred,
@@ -23,10 +28,12 @@ from spectrum_contracts.solver import (
     brute_force_solve,
     build_tables,
     count_monotone_assignments,
+    dp_table_bytes,
     saturation_cap,
     solve,
     solve_loads,
 )
+from spectrum_contracts.runner import DEFAULT_ORACLE_SEED, sample_instance
 from spectrum_contracts.stochastic import mbs_cost, uav_utility
 
 
@@ -154,9 +161,22 @@ class TestDpInner:
         ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
         W, K = 9, 5
         tables = build_tables(ladder, Objective.MBS_REVENUE, W, K)
-        assert tables.opt.shape == (3, K + 1, W + 1)
+        # Layer t of the value cube is the first-type layer of the suffix
+        # ladder from type t on: gain row t depends only on types t.. .
+        opt = np.stack(
+            [
+                build_tables(
+                    TypeLadder(ladder.lambdas[t:], ladder.counts[t:]),
+                    Objective.MBS_REVENUE,
+                    W,
+                    K,
+                ).opt
+                for t in range(ladder.size)
+            ]
+        )
+        assert opt.shape == (3, K + 1, W + 1)
         assert tables.decision.shape == (3, K + 1, W + 1)
-        possible = tables.opt != IMPOSSIBLE
+        possible = opt != IMPOSSIBLE
         for t, count in enumerate(ladder.counts):
             for k in range(K + 1):
                 for w in range(W + 1):
@@ -166,7 +186,7 @@ class TestDpInner:
         # Base layer: achievable cells hold that type's own gain.
         for k in range(K + 1):
             for w in range(k * ladder.counts[-1], W + 1):
-                assert tables.opt[2, k, w] == gain(ladder, 2, k)
+                assert opt[2, k, w] == gain(ladder, 2, k)
         assert tables.decision[~possible].max(initial=0) == 0
 
     def test_decision_uses_the_narrowest_type_for_the_cap(self):
@@ -174,6 +194,40 @@ class TestDpInner:
         for K, dtype in ((5, np.uint8), (255, np.uint8), (256, np.uint16)):
             tables = build_tables(ladder, Objective.MBS_REVENUE, 300, K)
             assert tables.decision.dtype == dtype
+
+
+class TestTableBudget:
+    def test_budget_counts_decisions_two_layers_and_the_suffix_pair(self):
+        cells = 6 * 10
+        assert dp_table_bytes(3, 5, 9) == cells * (3 * 1 + 4 * 8)
+        assert dp_table_bytes(3, 256, 300) == 257 * 301 * (3 * 2 + 4 * 8)
+
+    def test_over_budget_names_the_shape_and_the_bytes(self, monkeypatch):
+        # The limit is read when the fill starts, so the boundary can be
+        # moved onto a small ladder: exactly the working set is accepted.
+        ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
+        needed = dp_table_bytes(3, 5, 9)
+        monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed)
+        build_tables(ladder, Objective.MBS_REVENUE, 9, 5)
+        monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed - 1)
+        with pytest.raises(ValueError) as info:
+            build_tables(ladder, Objective.MBS_REVENUE, 9, 5)
+        message = str(info.value)
+        for part in ("T=3", "K=5", "M=9", f"{needed} bytes"):
+            assert part in message
+
+    def test_refusal_comes_before_any_allocation(self):
+        # Unrefused, this fill would hold about 0.9 GB.
+        ladder = TypeLadder(tuple(float(v) for v in range(1, 101)), (1,) * 100)
+        assert dp_table_bytes(100, 2000, 2000) > MAX_TABLE_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="T=100 types, K=2000, M=2000"):
+                build_tables(ladder, Objective.MBS_REVENUE, 2000, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestSolve:
@@ -345,6 +399,23 @@ class TestBruteForce:
                     assert a.inner_value == pytest.approx(b.inner_value, abs=1e-9)
                     assert a.objective_value == pytest.approx(
                         b.objective_value, abs=1e-9
+                    )
+
+    def test_scores_equal_the_public_evaluators(self):
+        # Both solvers score against the load's cost row; the public
+        # evaluators sum the cost afresh.  The floats must be the same.
+        for index in range(200):
+            rng = np.random.default_rng(DEFAULT_ORACLE_SEED + index)
+            ladder, mbs = sample_instance(rng)
+            for objective in Objective:
+                for result in (
+                    solve(ladder, mbs, objective),
+                    brute_force_solve(ladder, mbs, objective),
+                ):
+                    contract = result.contract
+                    assert result.revenue == revenue(ladder, contract, mbs)
+                    assert result.welfare == social_welfare(
+                        ladder, contract.assignment, mbs
                     )
 
     @settings(max_examples=200, deadline=None)

@@ -406,10 +406,15 @@ def run_oracle_check(
                 reasons.append(
                     f"objective value {dp_value!r} vs {bf_value!r}"
                 )
-            if dp.contract.assignment.w != bf.contract.assignment.w:
+            dp_w = dp.contract.assignment.w
+            bf_w = bf.contract.assignment.w
+            if dp_w != bf_w:
+                first = next(
+                    t for t, (a, b) in enumerate(zip(dp_w, bf_w)) if a != b
+                )
                 reasons.append(
-                    f"assignment {dp.contract.assignment.w} "
-                    f"vs {bf.contract.assignment.w}"
+                    f"assignment {dp_w} vs {bf_w}, first differing at "
+                    f"type {first + 1} of {len(dp_w)}"
                 )
             matched = not reasons
             rows.append(

@@ -11,7 +11,8 @@ combinatorial core two ways:
   remain for types t onward; monotonicity is enforced by restricting the
   next type to counts >= k.  Layer t is computed from layer t+1 alone,
   so only two value layers are held at a time, plus every layer's
-  decisions for the backtrack.  One fill serves every budget W = 0..M.
+  decisions for the backtrack, and only the states a budget can reach
+  are filled.  One fill serves every budget W = 0..M.
   Then, for each base-station load in turn, ``solve_loads`` subtracts
   that load's expected congestion cost of selling W channels and keeps
   the best net value.  Only the cost row depends on the load, so a load
@@ -177,81 +178,72 @@ def _gain_rows(ladder: TypeLadder, objective: Objective, top: int) -> np.ndarray
     return np.array(rows, dtype=np.float64)
 
 
-def _suffix_incumbents(
-    values: np.ndarray, tie: TieBreak
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact suffix maxima and the tie-resolved pick of each suffix.
+def _suffix_scan(
+    values: np.ndarray, rest: int, tie: TieBreak
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Running suffix maxima and tie-resolved picks of the rows of values.
 
-    For each (k, w), the first array holds max(values[k:, w]) exactly;
-    the second holds the smallest row index in k..K whose value lies
-    within eps of that maximum (greedily the largest such index under
-    ``prefer_larger``).  Any value strictly above the tolerance band
-    therefore decides the pick outright; eps only widens what counts as
-    tied with the best.
+    ``values`` is (K+1) x (W+1), and row j may hold a value other than
+    ``IMPOSSIBLE`` only in the columns w >= j*rest (with rest 0, in every
+    column).  The scan starts at the top row that can hold one,
+    min(K, W // rest), and walks down.  After step k it yields
+    (k, best, pick), where for every column w >= k*rest best[w] is
+    max(values[k:, w]) exactly and pick[w] is the smallest row in k..K
+    whose value lies within eps of it (greedily the largest such row
+    under ``prefer_larger``).  Any value strictly above the tolerance
+    band therefore decides the pick outright; eps only widens what counts
+    as tied with the best.  Step k touches only the columns w >= k*rest;
+    the entries below them are meaningless.  The two rows are updated in
+    place, so a caller copies what it keeps.
+
+    Skipping the rows above the top and the cells left of each row's
+    band changes no maximum, since those cells hold -inf.  Nor does it
+    change a pick: a column enters the scan at the first row that holds
+    a value there, and that row always takes the pick, because every
+    comparison against the -inf incumbent reads -inf - eps = -inf.
     """
     rows, cols = values.shape
-    best_val = np.empty((rows, cols), dtype=np.float64)
-    best_idx = np.empty((rows, cols), dtype=np.int64)
-    best_val[rows - 1] = values[rows - 1]
-    best_idx[rows - 1] = rows - 1
+    top = rows - 1 if rest == 0 else min(rows - 1, (cols - 1) // rest)
+    best = np.full(cols, IMPOSSIBLE)
+    pick = np.zeros(cols, dtype=np.min_scalar_type(rows - 1))
+    band = np.empty(cols)
+    hit = np.empty(cols, dtype=bool)
     if tie.prefer_larger:
-        pick_val = values[rows - 1].copy()
-        for k in range(rows - 2, -1, -1):
-            cur = values[k]
-            new_max = np.maximum(cur, best_val[k + 1])
-            keep = pick_val >= new_max - tie.eps
-            best_idx[k] = np.where(keep, best_idx[k + 1], k)
-            pick_val = np.where(keep, pick_val, cur)
-            best_val[k] = new_max
-    else:
-        for k in range(rows - 2, -1, -1):
-            cur = values[k]
+        pick_val = np.full(cols, IMPOSSIBLE)
+    for k in range(top, -1, -1):
+        lo = k * rest
+        cur = values[k, lo:]
+        run, low, took = best[lo:], band[lo:], hit[lo:]
+        if tie.prefer_larger:
+            # The incumbent keeps the pick while it stays within eps of
+            # the new maximum; otherwise row k takes it.
+            held = pick_val[lo:]
+            np.maximum(cur, run, out=run)
+            np.subtract(run, tie.eps, out=low)
+            np.less(held, low, out=took)
+            np.copyto(held, cur, where=took)
+        else:
             # If cur is the new maximum the comparison holds trivially,
             # so one test covers both the new-max and the tied case.
-            take = cur >= best_val[k + 1] - tie.eps
-            best_idx[k] = np.where(take, k, best_idx[k + 1])
-            best_val[k] = np.maximum(cur, best_val[k + 1])
-    return best_val, best_idx
+            np.subtract(run, tie.eps, out=low)
+            np.greater_equal(cur, low, out=took)
+            np.maximum(cur, run, out=run)
+        np.copyto(pick[lo:], k, where=took)
+        yield k, best, pick
 
 
 def dp_table_bytes(T: int, K: int, W: int) -> int:
     """Bytes ``build_tables`` holds at once for T types, cap K, budget W.
 
-    The decision table (T layers in the narrowest unsigned type for K),
-    two float64 value layers, and the suffix maxima and picks of the
-    layer below (float64 and int64), each layer (K+1) x (W+1).
+    The decision table (T layers in the narrowest unsigned type for K)
+    and two float64 value layers, each layer (K+1) x (W+1), plus the
+    running rows of one suffix scan, each W+1 long: the maxima, the
+    tolerance band and the picked values (float64; the last is held
+    under ``prefer_larger`` only), the picks (the decision type) and a
+    mask (one byte).
     """
-    cells = (K + 1) * (W + 1)
-    return cells * (T * np.min_scalar_type(K).itemsize + 4 * 8)
-
-
-def _fill_layer(
-    layer: np.ndarray,
-    below: np.ndarray,
-    gains: np.ndarray,
-    count: int,
-    decision: np.ndarray,
-    tie: TieBreak,
-) -> None:
-    """Values and decisions of one type from the layer of the next type.
-
-    The suffix maxima and picks of ``below`` live only for this call, so
-    a fill holds one such pair at a time.
-    """
-    nxt_val, nxt_idx = _suffix_incumbents(below, tie)
-    layer.fill(IMPOSSIBLE)
-    K = layer.shape[0] - 1
-    W = layer.shape[1] - 1
-    for k in range(K + 1):
-        need = k * count
-        if need > W:
-            break
-        width = W - need + 1
-        cont_val = nxt_val[k, :width]
-        cont_idx = nxt_idx[k, :width]
-        reachable = cont_val != IMPOSSIBLE
-        layer[k, need:] = np.where(reachable, gains[k] + cont_val, IMPOSSIBLE)
-        decision[k, need:] = np.where(reachable, cont_idx, 0)
+    itemsize = np.min_scalar_type(K).itemsize
+    return (W + 1) * ((K + 1) * (T * itemsize + 2 * 8) + 3 * 8 + itemsize + 1)
 
 
 def build_tables(
@@ -264,10 +256,21 @@ def build_tables(
     """Fill the layered value/decision tables for budget W and cap K.
 
     Walks the types from the last to the first, keeping two value layers
-    and every layer's decisions.  Refuses, before allocating anything,
-    a fill whose working set (``dp_table_bytes``) exceeds
-    ``MAX_TABLE_BYTES`` (512 MiB), with a ``ValueError``.  The limit is
-    per call, so concurrent fills (a pooled height sweep) add up.
+    and every layer's decisions, and fills only the states a budget can
+    reach.  With S_t the head count of types t..T, state (t, k, w) is
+    reachable exactly when w >= k*S_t: by induction, the last layer's
+    row k is set from w = k*N_T on, and layer t's row k continues from
+    the layer below at w - k*N_t with some count j >= k, which is
+    reachable exactly when w - k*N_t >= k*S_{t+1} (j = k asks the
+    least).  So one running suffix scan of the layer below
+    (``_suffix_scan`` with rest = S_{t+1}) serves the whole layer: row k
+    is written right after scan step k, from column k*S_t on.  Every
+    other cell keeps ``IMPOSSIBLE`` and decision 0.
+
+    Refuses, before allocating anything, a fill whose working set
+    (``dp_table_bytes``) exceeds ``MAX_TABLE_BYTES`` (512 MiB), with a
+    ``ValueError``.  The limit is per call, so concurrent fills (a pooled
+    height sweep) add up.
     """
     if not isinstance(W, int) or isinstance(W, bool) or W < 0:
         raise ValueError(f"W must be a nonnegative integer, got {W!r}")
@@ -290,13 +293,21 @@ def build_tables(
     below = np.full((K + 1, W + 1), IMPOSSIBLE, dtype=np.float64)
     layer = np.empty_like(below)
 
-    for k in range(K + 1):
-        need = k * counts[T - 1]
-        if need <= W:
-            below[k, need:] = gains[T - 1, k]
+    rest = counts[T - 1]
+    for k in range(min(K, W // rest) + 1):
+        below[k, k * rest :] = gains[T - 1, k]
 
     for t in range(T - 2, -1, -1):
-        _fill_layer(layer, below, gains[t], counts[t], decision[t], tie)
+        count = counts[t]
+        layer.fill(IMPOSSIBLE)
+        for k, best, pick in _suffix_scan(below, rest, tie):
+            start = k * (count + rest)
+            if start <= W:
+                # Budget w continues from w - k*count in the layer below.
+                stop = W - k * count + 1
+                np.add(gains[t, k], best[k * rest : stop], out=layer[k, start:])
+                decision[t, k, start:] = pick[k * rest : stop]
+        rest += count
         layer, below = below, layer
     return DpTables(opt=below, decision=decision)
 
@@ -316,13 +327,18 @@ def _backtrack(
     return QualityAssignment(tuple(w_vec))
 
 
-def saturation_cap(ladder: TypeLadder, tol: float = 1e-12) -> int:
-    """Smallest count at which every type's utility has flattened out.
+def saturation_cap(
+    ladder: TypeLadder, total_channels: int, tol: float = 1e-12
+) -> int:
+    """Per-type cap: where every type's utility has flattened out, at most M.
 
-    Beyond this count the busiest type gains less than ``tol`` per extra
-    channel, so larger assignments cannot change any optimum.
+    Beyond the busiest type's saturation point it gains less than ``tol``
+    per extra channel, so larger assignments cannot change any optimum;
+    no type can take more than the M channels there are either.  Equals
+    min(M, saturation_channels(max lambda, tol)) and scans at most M
+    tails.
     """
-    return saturation_channels(max(ladder.lambdas), tol)
+    return saturation_channels(max(ladder.lambdas), tol, limit=total_channels)
 
 
 def _scan_preferred(net: np.ndarray, tie: TieBreak) -> int:
@@ -359,10 +375,14 @@ def solve_loads(
     if tie is None:
         tie = TieBreak()
     M = total_channels
-    K = min(M, saturation_cap(ladder)) if use_k_cap else M
+    K = saturation_cap(ladder, M) if use_k_cap else M
     tables = build_tables(ladder, objective, M, K, tie)
-    top_val, top_idx = _suffix_incumbents(tables.opt, tie)
-    inner_vals = top_val[0]
+    # The first type's row k is reachable from budget k * (all heads) on;
+    # the scan's last step leaves each budget's best first-type count.
+    for _, inner_vals, first_pick in _suffix_scan(
+        tables.opt, sum(ladder.counts), tie
+    ):
+        pass
     inner_values = tuple(inner_vals.tolist())
     for load in loads:
         mbs = MbsLoad(M, load)
@@ -370,7 +390,7 @@ def solve_loads(
         net = inner_vals - costs
         best_w = _scan_preferred(net, tie)
         assignment = _backtrack(
-            tables.decision, ladder.counts, int(top_idx[0, best_w]), best_w
+            tables.decision, ladder.counts, int(first_pick[best_w]), best_w
         )
         yield _package(ladder, assignment, costs, inner_values, net)
 

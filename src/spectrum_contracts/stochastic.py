@@ -292,7 +292,9 @@ def cost_table(total: int, load: float) -> np.ndarray:
     return table
 
 
-def saturation_channels(mean: float, tol: float = 1e-12) -> int:
+def saturation_channels(
+    mean: float, tol: float = 1e-12, *, limit: int | None = None
+) -> int:
     """Smallest channel count whose tail probability drops below tol.
 
     Past this point every additional channel changes a utility by less than
@@ -302,13 +304,20 @@ def saturation_channels(mean: float, tol: float = 1e-12) -> int:
     Args:
         mean: Type whose saturation point is sought.
         tol: Tail threshold; defaults to 1e-12.
+        limit: If given, scan at most this many tails and return ``limit``
+            when none of them drops below tol, which gives
+            ``min(limit, saturation_channels(mean, tol))``.
 
     Returns:
-        The smallest k >= 1 with P(X >= k) < tol.
+        The smallest k >= 1 with P(X >= k) < tol (or ``limit``, if smaller).
     """
     mean = _check_mean(mean)
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    for k, tail in enumerate(_tails(mean, 1), start=1):
+    tails = _tails(mean, 1)
+    if limit is not None:
+        tails = islice(tails, _check_count(limit, "limit"))
+    for k, tail in enumerate(tails, start=1):
         if tail < tol:
             return k
+    return limit

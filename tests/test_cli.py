@@ -1,6 +1,7 @@
 """Tests for scenario parsing, orchestration, and the CLI surface."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -471,6 +472,27 @@ class TestOracleCheck:
         first = report.failures[0]
         assert first.seed == 20260817 + first.index
         assert f"seed {first.seed}" in report.lines[0]
+
+    def test_corrupted_tiebreak_names_the_first_diverging_type(self):
+        report = run_oracle_check(instances=40, corrupt_tiebreak=True)
+        diverged = [f for f in report.failures if "assignment" in f.reason]
+        assert diverged
+        for failure in diverged:
+            match = re.search(
+                r"assignment \(([\d, ]*)\) vs \(([\d, ]*)\), "
+                r"first differing at type (\d+) of (\d+)",
+                failure.reason,
+            )
+            assert match, failure.reason
+            dp_w, bf_w = (
+                [int(v) for v in group.split(",") if v.strip()]
+                for group in match.group(1, 2)
+            )
+            first = int(match.group(3))
+            assert int(match.group(4)) == len(dp_w) == len(bf_w)
+            assert dp_w[: first - 1] == bf_w[: first - 1]
+            assert dp_w[first - 1] != bf_w[first - 1]
+            assert failure.reason in "\n".join(report.lines)
 
     def test_negative_instances_are_rejected(self):
         with pytest.raises(ConfigError, match=">= 0"):

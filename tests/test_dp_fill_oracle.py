@@ -1,10 +1,13 @@
-"""Bit-identity oracle for the rolling-layer DP fill.
+"""Bit-identity oracle for the banded rolling-layer DP fill.
 
 ``reference_build_tables`` is the fill that stored the whole value cube
-``opt[T, K+1, W+1]``, kept verbatim apart from its name.  The rolling
-fill keeps two value layers, walks the types in the same order and does
-the same arithmetic, so its decisions and its first-type layer must
-equal the reference's byte for byte (``tobytes``, never a tolerance).
+``opt[T, K+1, W+1]``, and ``reference_suffix_incumbents`` the full
+(K+1) x (W+1) suffix maxima and picks it scanned each layer with; both
+are kept verbatim apart from their names.  The banded fill keeps two
+value layers, walks the types in the same order, skips only cells that
+hold ``IMPOSSIBLE`` and does the same arithmetic on the rest, so its
+decisions and its first-type layer must equal the reference's byte for
+byte (``tobytes``, never a tolerance).
 """
 
 import numpy as np
@@ -20,9 +23,45 @@ from spectrum_contracts.solver import (
     Objective,
     TieBreak,
     _gain_rows,
-    _suffix_incumbents,
     build_tables,
 )
+
+
+def reference_suffix_incumbents(
+    values: np.ndarray, tie: TieBreak
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact suffix maxima and the tie-resolved pick of each suffix.
+
+    For each (k, w), the first array holds max(values[k:, w]) exactly;
+    the second holds the smallest row index in k..K whose value lies
+    within eps of that maximum (greedily the largest such index under
+    ``prefer_larger``).  Any value strictly above the tolerance band
+    therefore decides the pick outright; eps only widens what counts as
+    tied with the best.
+    """
+    rows, cols = values.shape
+    best_val = np.empty((rows, cols), dtype=np.float64)
+    best_idx = np.empty((rows, cols), dtype=np.int64)
+    best_val[rows - 1] = values[rows - 1]
+    best_idx[rows - 1] = rows - 1
+    if tie.prefer_larger:
+        pick_val = values[rows - 1].copy()
+        for k in range(rows - 2, -1, -1):
+            cur = values[k]
+            new_max = np.maximum(cur, best_val[k + 1])
+            keep = pick_val >= new_max - tie.eps
+            best_idx[k] = np.where(keep, best_idx[k + 1], k)
+            pick_val = np.where(keep, pick_val, cur)
+            best_val[k] = new_max
+    else:
+        for k in range(rows - 2, -1, -1):
+            cur = values[k]
+            # If cur is the new maximum the comparison holds trivially,
+            # so one test covers both the new-max and the tied case.
+            take = cur >= best_val[k + 1] - tie.eps
+            best_idx[k] = np.where(take, k, best_idx[k + 1])
+            best_val[k] = np.maximum(cur, best_val[k + 1])
+    return best_val, best_idx
 
 
 def reference_build_tables(
@@ -53,7 +92,7 @@ def reference_build_tables(
             opt[T - 1, k, need:] = gains[T - 1, k]
 
     for t in range(T - 2, -1, -1):
-        nxt_val, nxt_idx = _suffix_incumbents(opt[t + 1], tie)
+        nxt_val, nxt_idx = reference_suffix_incumbents(opt[t + 1], tie)
         for k in range(K + 1):
             need = k * counts[t]
             if need > W:
@@ -119,6 +158,21 @@ def _assert_same_fill(ladder, objective, W, K, tie):
 @example((TypeLadder((2.0,), (3,)), Objective.MBS_REVENUE, 12, 4, TieBreak()))
 @example((TypeLadder((1.0, 2.0), (1, 2)), Objective.SOCIAL_WELFARE, 7, 0, TieBreak()))
 @example((TypeLadder((1.0, 1.0 + 1e-13, 4.0), (2, 1, 3)), Objective.MBS_REVENUE, 15, 15, TIES[1]))
+# Band edges.  W below the head count after the first type: only row 0
+# of the first layer is reachable.
+@example((TypeLadder((1.0, 2.0, 3.0), (2, 3, 4)), Objective.MBS_REVENUE, 6, 6, TieBreak()))
+# W equal to k * (N_t + rest) for k = 2 of the first layer (N=1, rest=5)
+# and k = 4 of the last (N=3).
+@example((TypeLadder((0.5, 2.0, 6.0), (1, 2, 3)), Objective.SOCIAL_WELFARE, 12, 12, TIES[1]))
+@example((TypeLadder((0.5, 2.0, 6.0), (1, 2, 3)), Objective.MBS_REVENUE, 12, 12, TieBreak()))
+# Six types of four heads each: at W=40 the first layer reaches row 1
+# only; at W=48 its row 2 is reachable in the last column alone.
+@example((TypeLadder((0.5, 1.0, 2.0, 4.0, 8.0, 16.0), (4,) * 6), Objective.MBS_REVENUE, 40, 10, TieBreak()))
+@example((TypeLadder((0.5, 1.0, 2.0, 4.0, 8.0, 16.0), (4,) * 6), Objective.SOCIAL_WELFARE, 48, 48, TIES[1]))
+# K = 0 and K = W on a ladder whose band cuts every layer.
+@example((TypeLadder((1.0, 3.0, 9.0), (2, 1, 3)), Objective.MBS_REVENUE, 30, 0, TieBreak()))
+@example((TypeLadder((1.0, 3.0, 9.0), (2, 1, 3)), Objective.MBS_REVENUE, 30, 30, TieBreak()))
+@example((TypeLadder((1.0, 3.0, 9.0), (2, 1, 3)), Objective.SOCIAL_WELFARE, 30, 30, CORRUPT_TIE_BREAK))
 def test_rolling_fill_equals_the_full_cube(case):
     _assert_same_fill(*case)
 

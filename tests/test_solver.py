@@ -24,7 +24,7 @@ from spectrum_contracts.solver import (
     Objective,
     TieBreak,
     _scan_preferred,
-    _suffix_incumbents,
+    _suffix_scan,
     brute_force_solve,
     build_tables,
     count_monotone_assignments,
@@ -34,7 +34,7 @@ from spectrum_contracts.solver import (
     solve_loads,
 )
 from spectrum_contracts.runner import DEFAULT_ORACLE_SEED, sample_instance
-from spectrum_contracts.stochastic import mbs_cost, uav_utility
+from spectrum_contracts.stochastic import mbs_cost, saturation_channels, uav_utility
 
 
 def _random_instance(rng, max_types=3, max_budget=12, lam_lo=0.5, lam_hi=5.0):
@@ -197,10 +197,13 @@ class TestDpInner:
 
 
 class TestTableBudget:
-    def test_budget_counts_decisions_two_layers_and_the_suffix_pair(self):
-        cells = 6 * 10
-        assert dp_table_bytes(3, 5, 9) == cells * (3 * 1 + 4 * 8)
-        assert dp_table_bytes(3, 256, 300) == 257 * 301 * (3 * 2 + 4 * 8)
+    def test_budget_counts_decisions_two_layers_and_the_running_rows(self):
+        # Per budget column: K+1 cells of T decisions and two float64
+        # layers, then three float64 running rows, the picks and a mask.
+        assert dp_table_bytes(3, 5, 9) == 10 * (6 * (3 * 1 + 2 * 8) + 3 * 8 + 1 + 1)
+        assert dp_table_bytes(3, 256, 300) == 301 * (
+            257 * (3 * 2 + 2 * 8) + 3 * 8 + 2 + 1
+        )
 
     def test_over_budget_names_the_shape_and_the_bytes(self, monkeypatch):
         # The limit is read when the fill starts, so the boundary can be
@@ -321,22 +324,72 @@ class TestSolve:
             assert more.revenue >= base.revenue - 1e-9
 
 
+class TestHeadline:
+    """The abstract's claim: an MBS after revenue sells less bandwidth
+    than one after social welfare."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_revenue_menu_never_sells_more_with_unit_counts(self, data):
+        size = data.draw(st.integers(min_value=1, max_value=7))
+        lambdas = data.draw(
+            st.lists(
+                st.floats(min_value=0.2, max_value=30.0),
+                min_size=size,
+                max_size=size,
+                unique=True,
+            )
+        )
+        total = data.draw(st.integers(min_value=5, max_value=119))
+        load = data.draw(st.floats(min_value=0.5 * total, max_value=1.5 * total))
+        ladder = TypeLadder(tuple(sorted(lambdas)), (1,) * size)
+        mbs = MbsLoad(total, load)
+        rev = solve(ladder, mbs, Objective.MBS_REVENUE)
+        soc = solve(ladder, mbs, Objective.SOCIAL_WELFARE)
+        assert rev.sold <= soc.sold
+
+    def test_mixed_counts_can_make_the_revenue_menu_sell_more(self):
+        # Channels sold is sum(N_t * w_t), which moves in steps of N_t:
+        # the welfare menu gives type 2 (one head) two more channels and
+        # each of the three type-3 operators one fewer.
+        ladder = TypeLadder((4.925, 17.203, 28.57), (3, 1, 3))
+        mbs = MbsLoad(82, 52.81)
+        rev = solve(ladder, mbs, Objective.MBS_REVENUE)
+        soc = solve(ladder, mbs, Objective.SOCIAL_WELFARE)
+        assert (rev.sold, rev.contract.assignment.w) == (50, (0, 5, 15))
+        assert (soc.sold, soc.contract.assignment.w) == (49, (0, 7, 14))
+
+
+def _running_suffix(values, tie):
+    """The running scan's rows after each step, stacked by row.
+
+    Every cell of these values holds a value, so the scan runs with
+    rest 0 and each step's rows hold the suffix of every column.
+    """
+    best_val = np.empty(values.shape)
+    best_idx = np.empty(values.shape, dtype=np.int64)
+    for k, best, pick in _suffix_scan(values, 0, tie):
+        best_val[k] = best
+        best_idx[k] = pick
+    return best_val, best_idx
+
+
 class TestTieRule:
     """Values at or above 1e-3 that lie within eps of each other tie."""
 
     TIED = np.array([[0.5], [0.5 + 4e-13]])
 
     def test_suffix_pick_takes_the_smallest_tied_count(self):
-        best_val, best_idx = _suffix_incumbents(self.TIED, TieBreak())
+        best_val, best_idx = _running_suffix(self.TIED, TieBreak())
         assert best_val[0, 0] == 0.5 + 4e-13
         assert best_idx[0, 0] == 0
         assert best_idx[1, 0] == 1
 
     def test_suffix_pick_prefer_larger_takes_the_largest_tied_count(self):
-        _, best_idx = _suffix_incumbents(self.TIED, TieBreak(prefer_larger=True))
+        _, best_idx = _running_suffix(self.TIED, TieBreak(prefer_larger=True))
         assert best_idx[0, 0] == 1
         values = np.array([[0.5 + 4e-13], [0.5], [0.5 + 2e-13]])
-        best_val, best_idx = _suffix_incumbents(
+        best_val, best_idx = _running_suffix(
             values, TieBreak(prefer_larger=True)
         )
         assert best_val[0, 0] == 0.5 + 4e-13
@@ -344,7 +397,7 @@ class TestTieRule:
 
     def test_suffix_pick_outside_eps_takes_the_maximum(self):
         values = np.array([[0.5], [0.5 + 4e-12]])
-        _, best_idx = _suffix_incumbents(values, TieBreak())
+        _, best_idx = _running_suffix(values, TieBreak())
         assert best_idx[0, 0] == 1
 
     def test_scan_takes_the_smallest_tied_budget(self):
@@ -458,10 +511,31 @@ class TestBruteForce:
 class TestSaturationCap:
     def test_cap_tracks_busiest_type(self):
         ladder = TypeLadder((1.0, 10.0), (1, 1))
-        assert saturation_cap(ladder) == 40
+        assert saturation_cap(ladder, 200) == 40
 
     def test_cap_is_a_true_plateau(self):
         ladder = TypeLadder((4.0, 10.0), (1, 1))
-        cap = saturation_cap(ladder)
+        cap = saturation_cap(ladder, 200)
         for lam in ladder.lambdas:
             assert uav_utility(lam, cap + 5) - uav_utility(lam, cap) < 1e-11
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lambdas=st.lists(
+            st.floats(min_value=1e-3, max_value=60.0),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        total=st.integers(min_value=0, max_value=200),
+        tol=st.sampled_from([1e-12, 1e-6, 0.3]),
+    )
+    def test_cap_stops_at_the_budget(self, lambdas, total, tol):
+        # The scan stops after M tails; the cap must still be the full
+        # saturation point whenever that lies within the budget, also
+        # for budgets next to it.
+        ladder = TypeLadder(tuple(sorted(lambdas)), (1,) * len(lambdas))
+        full = saturation_channels(max(lambdas), tol)
+        for budget in (total, max(full - 2, 0), max(full - 1, 0), full, full + 1):
+            assert saturation_cap(ladder, budget, tol) == min(budget, full)
+

@@ -214,11 +214,17 @@ def _parse_power(ctx: _Context, block: dict, path: str, stem: str, default_watts
     watts_key, dbm_key = f"{stem}_watts", f"{stem}_dbm"
     if watts_key in block and dbm_key in block:
         ctx.fail(f"{path}.{dbm_key}", f"give {watts_key} or {dbm_key}, not both")
+    lo, hi = -100.0, 200.0
     if dbm_key in block:
-        return _in_range(ctx, block[dbm_key], f"{path}.{dbm_key}", -100.0, 200.0)
+        return _in_range(ctx, block[dbm_key], f"{path}.{dbm_key}", lo, hi)
     if watts_key in block:
-        watts = _in_range(ctx, block[watts_key], f"{path}.{watts_key}", 0.0, 1e9, lo_open=True)
-        return watts_to_dbm(watts)
+        where = f"{path}.{watts_key}"
+        watts = _in_range(ctx, block[watts_key], where, 0.0, 1e9, lo_open=True)
+        dbm = watts_to_dbm(watts)
+        # The canonical form stores dBm, so it must read back.
+        if not lo <= dbm <= hi:
+            ctx.fail(where, f"is {dbm} dBm, outside [{lo}, {hi}] dBm")
+        return dbm
     return watts_to_dbm(default_watts)
 
 
@@ -287,18 +293,23 @@ def _parse_placement(
         radius = _in_range(
             ctx, ring["radius"], f"{path}.uav_ring.radius", 0.0, extent, lo_open=True
         )
-        return _ring_positions(count, radius), height
-    raw = _number_list(ctx, block["uav_positions"], f"{path}.uav_positions")
-    positions = []
-    for index, item in enumerate(raw):
-        where = f"{path}.uav_positions[{index}]"
-        if not isinstance(item, list) or len(item) != 2:
-            ctx.fail(where, "expected a pair [x, y]")
-        x = _in_range(ctx, item[0], f"{where}[0]", -extent, extent)
-        y = _in_range(ctx, item[1], f"{where}[1]", -extent, extent)
-        positions.append((x, y))
+        positions = _ring_positions(count, radius)
+        where = f"{path}.uav_ring"
+    else:
+        raw = _number_list(ctx, block["uav_positions"], f"{path}.uav_positions")
+        positions = []
+        for index, item in enumerate(raw):
+            item_path = f"{path}.uav_positions[{index}]"
+            if not isinstance(item, list) or len(item) != 2:
+                ctx.fail(item_path, "expected a pair [x, y]")
+            x = _in_range(ctx, item[0], f"{item_path}[0]", -extent, extent)
+            y = _in_range(ctx, item[1], f"{item_path}[1]", -extent, extent)
+            positions.append((x, y))
+        where = f"{path}.uav_positions"
+    # A tiny ring can round positions together; the canonical form lists
+    # them, so they must be distinct either way.
     if len(set(positions)) != len(positions):
-        ctx.fail(f"{path}.uav_positions", "positions must be distinct")
+        ctx.fail(where, "positions must be distinct")
     return tuple(positions), height
 
 
@@ -323,6 +334,8 @@ def _parse_densities(ctx: _Context, block: dict, path: str, n_uavs: int) -> Dens
         ]
     if per_km2:
         values = [v * 1e-6 for v in values]
+        if 0.0 in values:
+            ctx.fail(f"{path}.{key}", "a density underflows to 0 per square meter")
     return DensityMap(tuple(values))
 
 
@@ -420,6 +433,9 @@ def _parse_sweep(ctx: _Context, data, path: str, has_geometry: bool) -> SweepSpe
             ctx.fail(path, "range form needs step > 0 and stop >= start")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         values = [start + k * step for k in range(n)]
+        # The canonical form lists the values, so each must read back.
+        if values[-1] > hi:
+            ctx.fail(path, f"range form reaches {values[-1]}, past the limit {hi}")
     if any(b <= a for a, b in zip(values, values[1:])):
         ctx.fail(f"{path}.values", "sweep values must be strictly ascending")
     return SweepSpec(parameter=parameter, values=tuple(values))

@@ -231,22 +231,18 @@ class Lemma2Report:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def ladder_from_lambdas(
-    lambdas, counts=None, *, drop_nonpositive: bool = False
-) -> TypeLadder:
+def ladder_from_lambdas(lambdas, counts=None) -> TypeLadder:
     """Build a ladder from raw type means, merging duplicates by count.
 
     Args:
         lambdas: Iterable of type means, any order, duplicates allowed.
         counts: Optional per-mean counts (default 1 each).
-        drop_nonpositive: Silently drop means <= 0 (used when types are
-            derived from geometry and some regions are empty).
 
     Returns:
         A TypeLadder with strictly ascending means and summed counts.
 
     Raises:
-        ValueError: If nothing remains to build a ladder from.
+        ValueError: If a mean is not positive, or no mean is given.
     """
     lambdas = [float(v) for v in lambdas]
     if counts is None:
@@ -258,8 +254,6 @@ def ladder_from_lambdas(
     merged: dict[float, int] = {}
     for lam, count in zip(lambdas, counts):
         if lam <= 0.0:
-            if drop_nonpositive:
-                continue
             raise ValueError(f"type mean must be positive, got {lam}")
         merged[lam] = merged.get(lam, 0) + count
     if not merged:

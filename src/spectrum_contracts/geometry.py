@@ -22,7 +22,6 @@ seen under elevation atan(H / r) at slant range sqrt(r^2 + H^2).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +178,6 @@ class DerivedTypes:
     lambdas: tuple[float, ...]
     kept_uavs: tuple[int, ...]
     excluded_uavs: tuple[int, ...]
-    warnings: tuple[str, ...]
 
     def ladder(self) -> TypeLadder:
         """Ascending type ladder; equal demands merge into one type."""
@@ -355,8 +353,8 @@ def partition_regions(
 def derive_types(grid: RegionGrid, density: DensityMap) -> DerivedTypes:
     """Mean demand per UAV: region area times local user density.
 
-    UAVs that own no cells generate no demand and are excluded, with a
-    warning recorded in the result (and emitted through ``warnings``).
+    UAVs that own no cells generate no demand and are excluded; the
+    result lists them, and callers decide whether to warn.
     """
     if len(density.rho) != len(grid.areas):
         raise ValueError(
@@ -365,7 +363,6 @@ def derive_types(grid: RegionGrid, density: DensityMap) -> DerivedTypes:
     lambdas: list[float] = []
     kept: list[int] = []
     excluded: list[int] = []
-    notes: list[str] = []
     for n, (area, rho) in enumerate(zip(grid.areas, density.rho)):
         lam = area * rho
         if lam > 0.0:
@@ -373,14 +370,8 @@ def derive_types(grid: RegionGrid, density: DensityMap) -> DerivedTypes:
             kept.append(n)
         else:
             excluded.append(n)
-            notes.append(
-                f"UAV {n} owns no cells at this geometry and is excluded"
-            )
-    for note in notes:
-        warnings.warn(note, stacklevel=2)
     return DerivedTypes(
         lambdas=tuple(lambdas),
         kept_uavs=tuple(kept),
         excluded_uavs=tuple(excluded),
-        warnings=tuple(notes),
     )

@@ -152,10 +152,17 @@ def _types_at(
 
 
 def _resolve_ladder(config: ScenarioConfig) -> TypeLadder:
-    """Explicit ladder, or the one the geometry block induces."""
+    """Explicit ladder, or the one the geometry block induces.
+
+    Warns once for each UAV that owns no cells and is left out.
+    """
     if config.ladder is not None:
         return config.ladder
     _, derived = _types_at(config.geometry, config.geometry.height)
+    for n in derived.excluded_uavs:
+        warnings.warn(
+            f"UAV {n} owns no cells at this geometry and is excluded", stacklevel=3
+        )
     if not derived.lambdas:
         raise ConfigError(
             "geometry: no UAV owns any cells at this height; "
@@ -280,8 +287,8 @@ def run_sweep(
     the load.  A height sweep re-partitions and solves at every height,
     on up to ``threads`` threads (never more than there are heights or
     CPUs this process may use).
-    Relays that own no cells at a height are counted in ``n_excluded``;
-    their per-height warning is silenced for the whole sweep.
+    Relays that own no cells at a height are counted in ``n_excluded``
+    and raise no warning.
     """
     if config.sweep is None:
         raise ConfigError("sweep: this command needs a sweep section")
@@ -333,17 +340,11 @@ def run_sweep(
             config, ("height", "total_area_m2", "n_types", "n_excluded")
         )
         workers = min(threads, len(values), _usable_cpus())
-        # The filter list is process-wide, so setting it here, in the
-        # calling thread, also covers the pool's threads.
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message=r"UAV \d+ owns no cells", category=UserWarning
-            )
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    rows = tuple(pool.map(point, values))
-            else:
-                rows = tuple(point(v) for v in values)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                rows = tuple(pool.map(point, values))
+        else:
+            rows = tuple(point(v) for v in values)
 
     table = ResultTable(columns=columns, rows=rows, metadata=_metadata(digest))
     files = (_write(out, "sweep.csv", table),)

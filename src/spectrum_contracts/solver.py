@@ -22,13 +22,15 @@ combinatorial core two ways:
 * ``brute_force_solve``: exhaustive enumeration used as a correctness
   oracle at small scale.
 
-Candidates within ``TieBreak.eps`` of the best value count as tied, and
-ties resolve toward the smaller channel count (smaller next-type count,
-smaller count at extraction, smaller budget in the outer scan): every
-selection picks the smallest index whose value lies within eps of the
-exact maximum over its candidate set.  The exhaustive oracle applies
-the identical rule to the identical suffix sums, so the two solvers
-agree exactly even where utilities plateau below the tolerance.
+The dynamic program has one tie rule: candidates within ``TIE_EPS``
+(1e-12) of the best value count as tied, and ties resolve toward the
+smaller channel count (smaller next-type count, smaller count at
+extraction, smaller budget in the outer scan), so every selection picks
+the smallest index whose value lies within eps of the exact maximum over
+its candidate set.  The exhaustive oracle applies the identical rule to
+the identical suffix sums by default, so the two solvers agree exactly
+even where utilities plateau below the tolerance; only the oracle takes
+a ``TieBreak``, so that the oracle check can sabotage that side.
 
 Impossible states (not enough budget for the mandated counts) are
 tracked explicitly: their stored value is an absorbing sentinel,
@@ -61,6 +63,9 @@ from .stochastic import cost_table, saturation_channels, utility_table
 
 IMPOSSIBLE = float("-inf")
 
+# Values within this of the best count as tied with it.
+TIE_EPS = 1e-12
+
 DEFAULT_BRUTE_FORCE_CAP = 10_000_000
 
 # Largest DP working set one ``build_tables`` call will allocate, in bytes
@@ -81,22 +86,26 @@ class Objective(Enum):
 
 @dataclass(frozen=True)
 class TieBreak:
-    """Tolerance and direction used to resolve near-equal values.
+    """Tolerance and direction of the exhaustive oracle's tie rule.
 
     Candidates whose value lies within ``eps`` of the exact maximum of
     their candidate set count as tied with the best.  Ties go to the
-    smallest channel count unless ``prefer_larger`` is set; the flag
-    exists so the oracle checker can demonstrate that a deliberately
-    wrong rule is caught, and is not useful otherwise.
+    smallest channel count unless ``prefer_larger`` is set.  The default
+    is the dynamic program's one rule; the oracle takes another only so
+    the oracle checker can show that a deliberately wrong rule on its
+    side is caught.
     """
 
-    eps: float = 1e-12
+    eps: float = TIE_EPS
     prefer_larger: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.eps) and self.eps >= 0.0):
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
 
+
+# The dynamic program's rule, and the oracle's unless told otherwise.
+_DP_TIE = TieBreak()
 
 # A deliberately broken rule for the oracle checker's negative control:
 # the tolerance is wide enough to blur genuinely different values and
@@ -179,7 +188,7 @@ def _gain_rows(ladder: TypeLadder, objective: Objective, top: int) -> np.ndarray
 
 
 def _suffix_scan(
-    values: np.ndarray, rest: int, tie: TieBreak
+    values: np.ndarray, rest: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Running suffix maxima and tie-resolved picks of the rows of values.
 
@@ -189,10 +198,10 @@ def _suffix_scan(
     min(K, W // rest), and walks down.  After step k it yields
     (k, best, pick), where for every column w >= k*rest best[w] is
     max(values[k:, w]) exactly and pick[w] is the smallest row in k..K
-    whose value lies within eps of it (greedily the largest such row
-    under ``prefer_larger``).  Any value strictly above the tolerance
-    band therefore decides the pick outright; eps only widens what counts
-    as tied with the best.  Step k touches only the columns w >= k*rest;
+    whose value lies within ``TIE_EPS`` of it.  Any value strictly above
+    the tolerance band therefore decides the pick outright; eps only
+    widens what counts as tied with the best.  This is the dynamic
+    program's one tie rule.  Step k touches only the columns w >= k*rest;
     the entries below them are meaningless.  The two rows are updated in
     place, so a caller copies what it keeps.
 
@@ -208,26 +217,15 @@ def _suffix_scan(
     pick = np.zeros(cols, dtype=np.min_scalar_type(rows - 1))
     band = np.empty(cols)
     hit = np.empty(cols, dtype=bool)
-    if tie.prefer_larger:
-        pick_val = np.full(cols, IMPOSSIBLE)
     for k in range(top, -1, -1):
         lo = k * rest
         cur = values[k, lo:]
         run, low, took = best[lo:], band[lo:], hit[lo:]
-        if tie.prefer_larger:
-            # The incumbent keeps the pick while it stays within eps of
-            # the new maximum; otherwise row k takes it.
-            held = pick_val[lo:]
-            np.maximum(cur, run, out=run)
-            np.subtract(run, tie.eps, out=low)
-            np.less(held, low, out=took)
-            np.copyto(held, cur, where=took)
-        else:
-            # If cur is the new maximum the comparison holds trivially,
-            # so one test covers both the new-max and the tied case.
-            np.subtract(run, tie.eps, out=low)
-            np.greater_equal(cur, low, out=took)
-            np.maximum(cur, run, out=run)
+        # If cur is the new maximum the comparison holds trivially, so
+        # one test covers both the new-max and the tied case.
+        np.subtract(run, TIE_EPS, out=low)
+        np.greater_equal(cur, low, out=took)
+        np.maximum(cur, run, out=run)
         np.copyto(pick[lo:], k, where=took)
         yield k, best, pick
 
@@ -237,13 +235,12 @@ def dp_table_bytes(T: int, K: int, W: int) -> int:
 
     The decision table (T layers in the narrowest unsigned type for K)
     and two float64 value layers, each layer (K+1) x (W+1), plus the
-    running rows of one suffix scan, each W+1 long: the maxima, the
-    tolerance band and the picked values (float64; the last is held
-    under ``prefer_larger`` only), the picks (the decision type) and a
-    mask (one byte).
+    running rows of one suffix scan, each W+1 long: the maxima and the
+    tolerance band (float64), the picks (the decision type) and a mask
+    (one byte).
     """
     itemsize = np.min_scalar_type(K).itemsize
-    return (W + 1) * ((K + 1) * (T * itemsize + 2 * 8) + 3 * 8 + itemsize + 1)
+    return (W + 1) * ((K + 1) * (T * itemsize + 2 * 8) + 2 * 8 + itemsize + 1)
 
 
 def build_tables(
@@ -251,7 +248,6 @@ def build_tables(
     objective: Objective,
     W: int,
     K: int,
-    tie: TieBreak | None = None,
 ) -> DpTables:
     """Fill the layered value/decision tables for budget W and cap K.
 
@@ -285,8 +281,6 @@ def build_tables(
             f"DP tables for T={T} types, K={K}, M={W} channels need "
             f"{needed} bytes, over the limit of {MAX_TABLE_BYTES} bytes"
         )
-    if tie is None:
-        tie = TieBreak()
     counts = ladder.counts
     gains = _gain_rows(ladder, objective, K)
     decision = np.zeros((T, K + 1, W + 1), dtype=np.min_scalar_type(K))
@@ -300,7 +294,7 @@ def build_tables(
     for t in range(T - 2, -1, -1):
         count = counts[t]
         layer.fill(IMPOSSIBLE)
-        for k, best, pick in _suffix_scan(below, rest, tie):
+        for k, best, pick in _suffix_scan(below, rest):
             start = k * (count + rest)
             if start <= W:
                 # Budget w continues from w - k*count in the layer below.
@@ -356,7 +350,6 @@ def solve_loads(
     objective: Objective,
     *,
     use_k_cap: bool = True,
-    tie: TieBreak | None = None,
 ) -> Iterator[SolverResult]:
     """Best feasible menu at each base-station load, by exact search.
 
@@ -372,15 +365,13 @@ def solve_loads(
     at the saturation point of the busiest type, which leaves all optima
     unchanged but removes the quartic blowup in the channel budget.
     """
-    if tie is None:
-        tie = TieBreak()
     M = total_channels
     K = saturation_cap(ladder, M) if use_k_cap else M
-    tables = build_tables(ladder, objective, M, K, tie)
+    tables = build_tables(ladder, objective, M, K)
     # The first type's row k is reachable from budget k * (all heads) on;
     # the scan's last step leaves each budget's best first-type count.
     for _, inner_vals, first_pick in _suffix_scan(
-        tables.opt, sum(ladder.counts), tie
+        tables.opt, sum(ladder.counts)
     ):
         pass
     inner_values = tuple(inner_vals.tolist())
@@ -388,7 +379,7 @@ def solve_loads(
         mbs = MbsLoad(M, load)
         costs = cost_table(M, mbs.load)
         net = inner_vals - costs
-        best_w = _scan_preferred(net, tie)
+        best_w = _scan_preferred(net, _DP_TIE)
         assignment = _backtrack(
             tables.decision, ladder.counts, int(first_pick[best_w]), best_w
         )
@@ -401,7 +392,6 @@ def solve(
     objective: Objective,
     *,
     use_k_cap: bool = True,
-    tie: TieBreak | None = None,
 ) -> SolverResult:
     """Best feasible menu for the given supply: ``solve_loads`` at one load."""
     return next(
@@ -411,7 +401,6 @@ def solve(
             (mbs.load,),
             objective,
             use_k_cap=use_k_cap,
-            tie=tie,
         )
     )
 
@@ -543,7 +532,7 @@ def brute_force_solve(
     exactly, which is what the oracle checker verifies.
     """
     if tie is None:
-        tie = TieBreak()
+        tie = _DP_TIE
     M = mbs.total_channels
     space = count_monotone_assignments(ladder, M)
     if space > cap:

@@ -6,26 +6,31 @@ rate is ``U(lam, w) = sum_{k=1..w} P(X_lam >= k)``. The base station's cost
 of selling ``m`` of its ``M`` channels is the expected service it gives up,
 ``C(m) = U_BS(M) - U_BS(M - m)``.
 
-Tail probabilities come from one forward pass over k = 0, 1, 2, ...
-that carries the probability mass ``term(k) = term(k-1) * lam / k``,
-started at ``exp(-lam)`` so no factorial is ever formed, together with the
-compensated sum of the terms below k. Up to the mean the tail is one minus
+Every probability mass ``term(k) = P(X = k)`` comes from one generator,
+``_terms``, the only place that decides how a term is made: as
+``term(k-1) * lam / k``, started at ``exp(-lam)`` so no factorial is ever
+formed, or, for means large enough to underflow ``exp(-lam)``, from log
+space, each term on its own.
+
+Tail probabilities come from one forward pass over those terms that
+carries the sum of the terms below k. Up to the mean the tail is one minus
 that running sum; above the mean it is summed upward from ``term(k)`` to
-convergence, which keeps it strictly positive far into the tail. Means
-large enough to underflow ``exp(-lam)`` take each term from log space
-instead, and their running sum is kept exactly, as an integer count of
-``2**-1074`` (every finite float is one), and rounded once per tail.
+convergence, which keeps it strictly positive far into the tail. The
+running sum is compensated, or, in log space, kept exactly, as an integer
+count of ``2**-1074`` (every finite float is one), and rounded once per
+tail.
 
 ``cost_table`` sums the same tails from the top down, again exactly, so
 each entry is the correctly rounded suffix sum at O(1) extra cost per
-entry. ``utility_table`` runs its own cumulative pass, taking every tail
-as one minus the compensated sum below it.
+entry, and ``mbs_cost`` is one entry of it. ``utility_table`` and
+``uav_utility`` share one cumulative pass over the same terms, taking
+every tail as one minus the compensated sum of the terms below it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator
 
 import numpy as np
@@ -78,6 +83,26 @@ def _units(value: float) -> int:
     return numerator * (_UNITS // denominator)
 
 
+def _terms(mean: float, first: int = 0) -> Iterator[float]:
+    """Poisson pmf terms P(X = k) for k = first, first + 1, ...
+
+    The only producer of terms (an upward tail sum continues the
+    recurrence from a term taken from here).  Below the log-space switch
+    each term is the previous one times mean / k, started at exp(-mean),
+    so the terms below ``first`` are stepped through; above it, where
+    exp(-mean) underflows, each term comes from log space on its own.
+    """
+    if mean > _LOG_SPACE_MEAN:
+        for k in count(first):
+            yield math.exp(_log_pmf(mean, k))
+    term = math.exp(-mean)
+    for k in range(1, first + 1):
+        term *= mean / k
+    for k in count(first + 1):
+        yield term
+        term *= mean / k
+
+
 def poisson_pmf(mean: float, k: int) -> float:
     """Probability that a Poisson variable with the given mean equals k.
 
@@ -93,12 +118,7 @@ def poisson_pmf(mean: float, k: int) -> float:
     """
     mean = _check_mean(mean)
     k = _check_count(k, "k")
-    if mean > _LOG_SPACE_MEAN:
-        return math.exp(_log_pmf(mean, k))
-    term = math.exp(-mean)
-    for i in range(k):
-        term *= mean / (i + 1)
-    return term
+    return next(_terms(mean, k))
 
 
 def _upper_sum(mean: float, k: int, term: float) -> float:
@@ -120,43 +140,29 @@ def _upper_sum(mean: float, k: int, term: float) -> float:
 def _tails(mean: float, start: int) -> Iterator[float]:
     """P(X >= k) for k = start, start + 1, ... in one forward pass.
 
-    Below the mean the running sum of the terms under k is carried along,
-    so each tail costs O(1); above it each requested tail is summed upward
-    from the running term. Terms for k below ``start`` are still stepped
-    through where the running state needs them, but no upward sum is run
-    for them.
+    Up to the mean the sum of the terms below k is carried along, so each
+    tail costs O(1); above it each tail is summed upward from its term.
+    The running sum is compensated, or exact in log space.  A pass that
+    starts above the mean needs no running sum, so it starts at ``start``.
     """
-    k = 0
-    if mean > _LOG_SPACE_MEAN:
-        below = 0
-        # Log-space terms need no running product, so a pass that starts
-        # above the mean skips the lower sum altogether.
-        while k <= mean and start <= mean:
-            if k >= start:
-                yield max(1.0 - below / _UNITS, 0.0)
-            below += _units(math.exp(_log_pmf(mean, k)))
-            k += 1
-        k = max(k, start)
-        while True:
-            yield _upper_sum(mean, k, math.exp(_log_pmf(mean, k)))
-            k += 1
-    term = math.exp(-mean)
-    below = 0.0
+    exact = mean > _LOG_SPACE_MEAN
+    k = 0 if start <= mean else start
+    below = 0 if exact else 0.0
     comp = 0.0
-    while k <= mean:
-        if k >= start:
-            yield max(1.0 - below, 0.0)
-        y = term - comp
-        t = below + y
-        comp = (t - below) - y
-        below = t
-        k += 1
-        term *= mean / k
-    while True:
-        if k >= start:
+    for term in _terms(mean, k):
+        if k > mean:
             yield _upper_sum(mean, k, term)
+        else:
+            if k >= start:
+                yield max(1.0 - (below / _UNITS if exact else below), 0.0)
+            if exact:
+                below += _units(term)
+            else:
+                y = term - comp
+                t = below + y
+                comp = (t - below) - y
+                below = t
         k += 1
-        term *= mean / k
 
 
 def poisson_tail(mean: float, k: int) -> float:
@@ -182,6 +188,30 @@ def poisson_tail(mean: float, k: int) -> float:
     return next(_tails(mean, k))
 
 
+def _utilities(mean: float, max_channels: int) -> list[float]:
+    """U(mean, 0..max_channels) in one cumulative pass over the terms.
+
+    Each tail is one minus the compensated sum of the terms below it,
+    and the utilities are its compensated running sum.  A list, because
+    per-entry stores into an array cost more and ``uav_utility`` needs
+    only the last entry.
+    """
+    table = [0.0]
+    cdf = cdf_comp = total = total_comp = 0.0
+    for term in islice(_terms(mean), max_channels):
+        y = term - cdf_comp
+        t = cdf + y
+        cdf_comp = (t - cdf) - y
+        cdf = t
+        tail = max(1.0 - cdf, 0.0)
+        y = tail - total_comp
+        t = total + y
+        total_comp = (t - total) - y
+        total = t
+        table.append(total)
+    return table
+
+
 def uav_utility(mean: float, channels: int) -> float:
     """Expected users served by an operator of the given type holding channels.
 
@@ -194,13 +224,14 @@ def uav_utility(mean: float, channels: int) -> float:
         channels: Number of channels held, w >= 0.
 
     Returns:
-        U(mean, channels), non-negative, strictly below the mean.
+        U(mean, channels), non-negative, strictly below the mean, and
+        equal to entry ``channels`` of ``utility_table``.
 
     Raises:
-        ValueError: Propagated from tail evaluation on bad inputs.
+        ValueError: If the mean is not positive and finite, or the
+            channel count is not a non-negative integer.
     """
-    channels = _check_count(channels, "channels")
-    return float(utility_table(mean, channels)[channels])
+    return _utilities(_check_mean(mean), _check_count(channels, "channels"))[-1]
 
 
 def utility_table(mean: float, max_channels: int) -> np.ndarray:
@@ -213,33 +244,9 @@ def utility_table(mean: float, max_channels: int) -> np.ndarray:
     Returns:
         Array of length max_channels + 1 with entry w equal to U(mean, w).
     """
-    mean = _check_mean(mean)
-    max_channels = _check_count(max_channels, "max_channels")
-    table = np.zeros(max_channels + 1)
-    if max_channels == 0:
-        return table
-    log_space = mean > _LOG_SPACE_MEAN
-    term = math.exp(-mean) if not log_space else math.exp(_log_pmf(mean, 0))
-    cdf = term
-    cdf_comp = 0.0
-    total = 0.0
-    total_comp = 0.0
-    for w in range(1, max_channels + 1):
-        tail = max(1.0 - cdf, 0.0)
-        y = tail - total_comp
-        t = total + y
-        total_comp = (t - total) - y
-        total = t
-        table[w] = total
-        if log_space:
-            term = math.exp(_log_pmf(mean, w))
-        else:
-            term *= mean / w
-        y = term - cdf_comp
-        t = cdf + y
-        cdf_comp = (t - cdf) - y
-        cdf = t
-    return table
+    return np.array(
+        _utilities(_check_mean(mean), _check_count(max_channels, "max_channels"))
+    )
 
 
 def mbs_cost(sold: int, total: int, load: float) -> float:
@@ -261,25 +268,23 @@ def mbs_cost(sold: int, total: int, load: float) -> float:
     """
     sold = _check_count(sold, "sold")
     total = _check_count(total, "total")
-    load = _check_mean(load)
     if sold > total:
         raise ValueError(f"sold channels ({sold}) exceed the total ({total})")
-    return math.fsum(islice(_tails(load, total - sold + 1), sold))
+    return float(cost_table(total, load)[sold])
 
 
 def cost_table(total: int, load: float) -> np.ndarray:
     """Costs C(0..total) for a base station with the given size and load.
 
     Entry m is the correctly rounded sum of the top m tails, accumulated
-    exactly from the top down, so it equals mbs_cost(m, total, load) bit
-    for bit.
+    exactly from the top down.
 
     Args:
         total: Total channels M.
         load: Mean active-user count at the base station.
 
     Returns:
-        Array of length total + 1; entry m equals mbs_cost(m, total, load).
+        Array of length total + 1; entry m is C(m).
     """
     total = _check_count(total, "total")
     load = _check_mean(load)

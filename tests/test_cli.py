@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from spectrum_contracts.cli import main
 from spectrum_contracts.config import (
@@ -191,7 +193,169 @@ class TestConfigParsing:
         assert config.ladder.lambdas == (1.5,)
 
 
+def _positive(hi):
+    return st.floats(min_value=0.0, max_value=hi, exclude_min=True)
+
+
+@st.composite
+def _sweeps(draw, parameter):
+    hi = 1e6 if parameter == "load" else 1e5
+    if draw(st.booleans()):
+        values = draw(st.lists(_positive(hi), min_size=1, max_size=5, unique=True))
+        return {"parameter": parameter, "values": sorted(values)}
+    start = draw(_positive(hi))
+    stop = draw(st.one_of(st.just(hi), st.floats(min_value=start, max_value=hi)))
+    if stop > start:
+        # A few points, the step a hair either side of an even split.
+        step = (stop - start) / draw(st.integers(min_value=1, max_value=8))
+        step *= draw(st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12]))
+    else:
+        step = draw(_positive(hi))
+    return {"parameter": parameter, "start": start, "stop": stop, "step": step}
+
+
+@st.composite
+def _geometries(draw):
+    extent = draw(st.floats(min_value=10.0, max_value=1e6))
+    geometry = {
+        "grid": {
+            "extent": extent,
+            "cell_size": draw(
+                st.floats(min_value=0.0, max_value=extent / 2.0, exclude_min=True)
+            ),
+        }
+    }
+    if draw(st.booleans()):
+        eta_los = draw(st.floats(min_value=0.0, max_value=999.0))
+        geometry["terrain"] = {
+            "a": draw(_positive(1e3)),
+            "b": draw(_positive(1e2)),
+            "eta_los": eta_los,
+            "eta_nlos": draw(
+                st.floats(min_value=eta_los, max_value=1e3, exclude_min=True)
+            ),
+        }
+    radio = {}
+    for stem in ("p_mbs", "p_uav"):
+        unit = draw(st.sampled_from(["watts", "dbm", None]))
+        if unit == "watts":
+            radio[f"{stem}_watts"] = draw(_positive(1e9))
+        elif unit == "dbm":
+            radio[f"{stem}_dbm"] = draw(st.floats(min_value=-100.0, max_value=200.0))
+    if draw(st.booleans()):
+        radio["frequency"] = draw(st.floats(min_value=1e6, max_value=1e13))
+        radio["noise_dbm"] = draw(st.floats(min_value=-300.0, max_value=100.0))
+    if draw(st.booleans()):
+        radio["channel_bandwidth"] = draw(st.floats(min_value=1.0, max_value=1e12))
+    geometry["radio"] = radio
+    placement = {"height": draw(_positive(1e5))}
+    if draw(st.booleans()):
+        count = draw(st.integers(min_value=1, max_value=12))
+        placement["uav_ring"] = {"count": count, "radius": draw(_positive(extent))}
+    else:
+        coordinate = st.floats(min_value=-extent, max_value=extent)
+        pairs = draw(
+            st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6, unique=True)
+        )
+        placement["uav_positions"] = [list(pair) for pair in pairs]
+        count = len(pairs)
+    geometry["placement"] = placement
+    key, hi = draw(
+        st.sampled_from([("densities_per_km2", 1e9), ("densities_per_m2", 1e3)])
+    )
+    if draw(st.booleans()):
+        geometry[key] = draw(_positive(hi))
+    else:
+        geometry[key] = draw(st.lists(_positive(hi), min_size=count, max_size=count))
+    return geometry
+
+
+@st.composite
+def _configs(draw):
+    """Scenario mappings across the parser's forms: ladder or geometry,
+    ring or explicit positions, watts or dBm, densities per km^2 or per
+    m^2, sweeps by values or by range."""
+    data = {}
+    if draw(st.booleans()):
+        lambdas = sorted(
+            draw(st.lists(_positive(1e6), min_size=1, max_size=5, unique=True))
+        )
+        data["ladder"] = {"lambdas": lambdas}
+        if draw(st.booleans()):
+            data["ladder"]["counts"] = draw(
+                st.lists(
+                    st.integers(min_value=1, max_value=1_000_000),
+                    min_size=len(lambdas),
+                    max_size=len(lambdas),
+                )
+            )
+        parameters = ["load"]
+    else:
+        data["geometry"] = draw(_geometries())
+        parameters = ["load", "height"]
+    data["mbs"] = {
+        "total_channels": draw(st.integers(min_value=1, max_value=100_000)),
+        "load": draw(_positive(1e6)),
+    }
+    solver_block = {}
+    if draw(st.booleans()):
+        solver_block["objectives"] = draw(
+            st.lists(
+                st.sampled_from([o.value for o in Objective]),
+                min_size=1,
+                max_size=2,
+                unique=True,
+            )
+        )
+    if draw(st.booleans()):
+        solver_block["use_k_cap"] = draw(st.booleans())
+    data["solver"] = solver_block
+    if draw(st.booleans()):
+        data["sweep"] = draw(_sweeps(draw(st.sampled_from(parameters))))
+    return data
+
+
+_RING = {"height": 400.0, "uav_ring": {"count": 4, "radius": 800.0}}
+
+
+def _scenario(placement=_RING, **geometry):
+    return {
+        "geometry": {"placement": placement, "densities_per_km2": 12.0, **geometry},
+        "mbs": {"total_channels": 10, "load": 2.0},
+    }
+
+
 class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(data=_configs())
+    @example(data=_scenario(radio={"p_uav_watts": 1e-14}))
+    # A density per km^2 that is zero per m^2, a ring that rounds seven
+    # positions together, and a range whose last point lands a hair past
+    # the limit.
+    @example(data=_scenario(densities_per_km2=5e-324))
+    @example(data=_scenario({"height": 1.0, "uav_ring": {"count": 7, "radius": 5e-324}}))
+    @example(
+        data={
+            "ladder": {"lambdas": [1.0]},
+            "mbs": {"total_channels": 10, "load": 2.0},
+            "sweep": {"parameter": "load", "start": 1.0, "stop": 1e6, "step": 999999.0000010001},
+        }
+    )
+    def test_every_loadable_config_round_trips(self, data):
+        try:
+            config = parse_config(data)
+        except ConfigError:
+            reject()
+        text = canonical_dump(config)
+        again = loads_config(text)
+        assert again == config
+        assert config_hash(again) == config_hash(config)
+        assert canonical_dump(again) == text
+
+    def test_power_below_the_dbm_floor_is_refused_in_watts(self):
+        with pytest.raises(ConfigError, match=r"p_uav_watts.*-110\.0 dBm"):
+            parse_config(_scenario(radio={"p_uav_watts": 1e-14}))
+
     def test_ladder_round_trip(self):
         config = loads_config(MINIMAL)
         again = loads_config(canonical_dump(config))

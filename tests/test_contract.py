@@ -62,12 +62,6 @@ class TestValueTypes:
         assert ladder.lambdas == (1.0, 2.0)
         assert ladder.counts == (2, 4)
 
-    def test_merge_helper_can_drop_empty_types(self):
-        ladder = ladder_from_lambdas([0.0, 1.5], drop_nonpositive=True)
-        assert ladder.lambdas == (1.5,)
-        with pytest.raises(ValueError, match="no positive"):
-            ladder_from_lambdas([0.0], drop_nonpositive=True)
-
     def test_assignment_allows_non_monotone_but_reports_it(self):
         assignment = QualityAssignment((2, 1))
         assert not assignment.is_monotone

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from spectrum_contracts.contract import TypeLadder
 from spectrum_contracts.solver import (
-    CORRUPT_TIE_BREAK,
     IMPOSSIBLE,
     DpTables,
     Objective,
@@ -108,14 +107,11 @@ def reference_build_tables(
     return DpTables(opt=opt, decision=decision)
 
 
-TIES = (TieBreak(), TieBreak(prefer_larger=True), CORRUPT_TIE_BREAK)
-
-
 @st.composite
 def _fills(draw):
     """Ladders, budgets and caps: one type or several, head counts above
-    one, caps from 0 up to the budget, near-tied means, both objectives
-    and each tie rule."""
+    one, caps from 0 up to the budget, near-tied means and both
+    objectives."""
     size = draw(st.integers(min_value=1, max_value=5))
     lambdas = sorted(
         draw(
@@ -138,13 +134,12 @@ def _fills(draw):
     W = draw(st.integers(min_value=0, max_value=40))
     K = draw(st.one_of(st.just(0), st.just(W), st.integers(min_value=0, max_value=W)))
     objective = draw(st.sampled_from(list(Objective)))
-    tie = draw(st.sampled_from(TIES))
-    return TypeLadder(tuple(lambdas), tuple(counts)), objective, W, K, tie
+    return TypeLadder(tuple(lambdas), tuple(counts)), objective, W, K
 
 
-def _assert_same_fill(ladder, objective, W, K, tie):
-    ref = reference_build_tables(ladder, objective, W, K, tie)
-    new = build_tables(ladder, objective, W, K, tie)
+def _assert_same_fill(ladder, objective, W, K):
+    ref = reference_build_tables(ladder, objective, W, K)
+    new = build_tables(ladder, objective, W, K)
     assert new.decision.dtype == ref.decision.dtype
     assert new.decision.shape == ref.decision.shape
     assert new.decision.tobytes() == ref.decision.tobytes()
@@ -155,24 +150,24 @@ def _assert_same_fill(ladder, objective, W, K, tie):
 
 @settings(max_examples=300, deadline=None)
 @given(_fills())
-@example((TypeLadder((2.0,), (3,)), Objective.MBS_REVENUE, 12, 4, TieBreak()))
-@example((TypeLadder((1.0, 2.0), (1, 2)), Objective.SOCIAL_WELFARE, 7, 0, TieBreak()))
-@example((TypeLadder((1.0, 1.0 + 1e-13, 4.0), (2, 1, 3)), Objective.MBS_REVENUE, 15, 15, TIES[1]))
+@example((TypeLadder((2.0,), (3,)), Objective.MBS_REVENUE, 12, 4))
+@example((TypeLadder((1.0, 2.0), (1, 2)), Objective.SOCIAL_WELFARE, 7, 0))
+@example((TypeLadder((1.0, 1.0 + 1e-13, 4.0), (2, 1, 3)), Objective.MBS_REVENUE, 15, 15))
 # Band edges.  W below the head count after the first type: only row 0
 # of the first layer is reachable.
-@example((TypeLadder((1.0, 2.0, 3.0), (2, 3, 4)), Objective.MBS_REVENUE, 6, 6, TieBreak()))
+@example((TypeLadder((1.0, 2.0, 3.0), (2, 3, 4)), Objective.MBS_REVENUE, 6, 6))
 # W equal to k * (N_t + rest) for k = 2 of the first layer (N=1, rest=5)
 # and k = 4 of the last (N=3).
-@example((TypeLadder((0.5, 2.0, 6.0), (1, 2, 3)), Objective.SOCIAL_WELFARE, 12, 12, TIES[1]))
-@example((TypeLadder((0.5, 2.0, 6.0), (1, 2, 3)), Objective.MBS_REVENUE, 12, 12, TieBreak()))
+@example((TypeLadder((0.5, 2.0, 6.0), (1, 2, 3)), Objective.SOCIAL_WELFARE, 12, 12))
+@example((TypeLadder((0.5, 2.0, 6.0), (1, 2, 3)), Objective.MBS_REVENUE, 12, 12))
 # Six types of four heads each: at W=40 the first layer reaches row 1
 # only; at W=48 its row 2 is reachable in the last column alone.
-@example((TypeLadder((0.5, 1.0, 2.0, 4.0, 8.0, 16.0), (4,) * 6), Objective.MBS_REVENUE, 40, 10, TieBreak()))
-@example((TypeLadder((0.5, 1.0, 2.0, 4.0, 8.0, 16.0), (4,) * 6), Objective.SOCIAL_WELFARE, 48, 48, TIES[1]))
+@example((TypeLadder((0.5, 1.0, 2.0, 4.0, 8.0, 16.0), (4,) * 6), Objective.MBS_REVENUE, 40, 10))
+@example((TypeLadder((0.5, 1.0, 2.0, 4.0, 8.0, 16.0), (4,) * 6), Objective.SOCIAL_WELFARE, 48, 48))
 # K = 0 and K = W on a ladder whose band cuts every layer.
-@example((TypeLadder((1.0, 3.0, 9.0), (2, 1, 3)), Objective.MBS_REVENUE, 30, 0, TieBreak()))
-@example((TypeLadder((1.0, 3.0, 9.0), (2, 1, 3)), Objective.MBS_REVENUE, 30, 30, TieBreak()))
-@example((TypeLadder((1.0, 3.0, 9.0), (2, 1, 3)), Objective.SOCIAL_WELFARE, 30, 30, CORRUPT_TIE_BREAK))
+@example((TypeLadder((1.0, 3.0, 9.0), (2, 1, 3)), Objective.MBS_REVENUE, 30, 0))
+@example((TypeLadder((1.0, 3.0, 9.0), (2, 1, 3)), Objective.MBS_REVENUE, 30, 30))
+@example((TypeLadder((1.0, 3.0, 9.0), (2, 1, 3)), Objective.SOCIAL_WELFARE, 30, 30))
 def test_rolling_fill_equals_the_full_cube(case):
     _assert_same_fill(*case)
 
@@ -181,4 +176,4 @@ def test_rolling_fill_equals_the_full_cube(case):
 def test_rolling_fill_equals_the_full_cube_with_a_wide_decision_type(objective):
     # K above 255 stores decisions as uint16.
     ladder = TypeLadder((3.0, 40.0, 90.0), (1, 2, 1))
-    _assert_same_fill(ladder, objective, 300, 260, TieBreak())
+    _assert_same_fill(ladder, objective, 300, 260)

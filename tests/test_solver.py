@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectrum_contracts import solver
@@ -80,6 +80,44 @@ def _oracle_instances(draw):
             st.floats(min_value=700.5, max_value=2000.0),
         )
     )
+    return TypeLadder(tuple(lambdas), tuple(counts)), MbsLoad(total, load)
+
+
+@st.composite
+def _tied_instances(draw):
+    """Instances whose assignment a tie decides.
+
+    Means lie in [0.007, 0.01], so each type's utility rises by under
+    eps from its fifth channel on while the fourth adds more (the tails
+    past k = 4 are below 1e-12); one mean may sit within 1e-13 of its
+    lower neighbour.  The budget affords every type four channels and
+    one to four more, and the base station's load is light (1e-8 to
+    1e-4), so budgets past saturation stay cheap and budgets whose best
+    sums differ by less than eps compete in the outer scan and in the
+    backtrack.
+    """
+    size = draw(st.integers(min_value=2, max_value=4))
+    lambdas = sorted(
+        draw(
+            st.lists(
+                st.floats(min_value=0.007, max_value=0.01),
+                min_size=size,
+                max_size=size,
+                unique=True,
+            )
+        )
+    )
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=size - 2))
+        tied = lambdas[i] + draw(st.sampled_from([2e-16, 1e-14, 1e-13]))
+        if i + 2 == size or tied < lambdas[i + 2]:
+            lambdas[i + 1] = tied
+    counts = draw(
+        st.lists(st.sampled_from([1, 1, 2]), min_size=size, max_size=size)
+        .filter(lambda c: sum(c) <= 5)
+    )
+    total = 4 * sum(counts) + draw(st.integers(min_value=1, max_value=4))
+    load = 10.0 ** draw(st.floats(min_value=-8.0, max_value=-4.0))
     return TypeLadder(tuple(lambdas), tuple(counts)), MbsLoad(total, load)
 
 
@@ -199,10 +237,10 @@ class TestDpInner:
 class TestTableBudget:
     def test_budget_counts_decisions_two_layers_and_the_running_rows(self):
         # Per budget column: K+1 cells of T decisions and two float64
-        # layers, then three float64 running rows, the picks and a mask.
-        assert dp_table_bytes(3, 5, 9) == 10 * (6 * (3 * 1 + 2 * 8) + 3 * 8 + 1 + 1)
+        # layers, then two float64 running rows, the picks and a mask.
+        assert dp_table_bytes(3, 5, 9) == 10 * (6 * (3 * 1 + 2 * 8) + 2 * 8 + 1 + 1)
         assert dp_table_bytes(3, 256, 300) == 301 * (
-            257 * (3 * 2 + 2 * 8) + 3 * 8 + 2 + 1
+            257 * (3 * 2 + 2 * 8) + 2 * 8 + 2 + 1
         )
 
     def test_over_budget_names_the_shape_and_the_bytes(self, monkeypatch):
@@ -360,7 +398,7 @@ class TestHeadline:
         assert (soc.sold, soc.contract.assignment.w) == (49, (0, 7, 14))
 
 
-def _running_suffix(values, tie):
+def _running_suffix(values):
     """The running scan's rows after each step, stacked by row.
 
     Every cell of these values holds a value, so the scan runs with
@@ -368,7 +406,7 @@ def _running_suffix(values, tie):
     """
     best_val = np.empty(values.shape)
     best_idx = np.empty(values.shape, dtype=np.int64)
-    for k, best, pick in _suffix_scan(values, 0, tie):
+    for k, best, pick in _suffix_scan(values, 0):
         best_val[k] = best
         best_idx[k] = pick
     return best_val, best_idx
@@ -380,24 +418,14 @@ class TestTieRule:
     TIED = np.array([[0.5], [0.5 + 4e-13]])
 
     def test_suffix_pick_takes_the_smallest_tied_count(self):
-        best_val, best_idx = _running_suffix(self.TIED, TieBreak())
+        best_val, best_idx = _running_suffix(self.TIED)
         assert best_val[0, 0] == 0.5 + 4e-13
         assert best_idx[0, 0] == 0
         assert best_idx[1, 0] == 1
 
-    def test_suffix_pick_prefer_larger_takes_the_largest_tied_count(self):
-        _, best_idx = _running_suffix(self.TIED, TieBreak(prefer_larger=True))
-        assert best_idx[0, 0] == 1
-        values = np.array([[0.5 + 4e-13], [0.5], [0.5 + 2e-13]])
-        best_val, best_idx = _running_suffix(
-            values, TieBreak(prefer_larger=True)
-        )
-        assert best_val[0, 0] == 0.5 + 4e-13
-        assert best_idx[0, 0] == 2
-
     def test_suffix_pick_outside_eps_takes_the_maximum(self):
         values = np.array([[0.5], [0.5 + 4e-12]])
-        _, best_idx = _running_suffix(values, TieBreak())
+        _, best_idx = _running_suffix(values)
         assert best_idx[0, 0] == 1
 
     def test_scan_takes_the_smallest_tied_budget(self):
@@ -405,6 +433,23 @@ class TestTieRule:
         assert _scan_preferred(net, TieBreak()) == 0
         assert _scan_preferred(net, TieBreak(prefer_larger=True)) == 1
         assert _scan_preferred(np.array([0.5, 0.5 + 4e-12]), TieBreak()) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=_tied_instances())
+    @example(instance=(TypeLadder((0.0087089, 0.0089760, 0.0097123), (1, 1, 1)), MbsLoad(24, 1.2e-6)))
+    @example(instance=(TypeLadder((0.0094687, 0.0098328), (1, 1)), MbsLoad(17, 1.2e-6)))
+    @example(instance=(TypeLadder((0.0090984, 0.0090984 + 2e-16), (1, 1)), MbsLoad(14, 7.6e-5)))
+    def test_ties_decide_a_full_solve_as_in_the_oracle(self, instance):
+        ladder, mbs = instance
+        decided = False
+        for objective in Objective:
+            slow = brute_force_solve(ladder, mbs, objective)
+            fast = solve(ladder, mbs, objective)
+            assert fast.contract.assignment == slow.contract.assignment
+            exact = brute_force_solve(ladder, mbs, objective, tie=TieBreak(eps=0.0))
+            decided |= exact.contract.assignment != slow.contract.assignment
+        # Count only the cases where the tolerance changes an assignment.
+        assume(decided)
 
 
 class TestBruteForce:
@@ -484,15 +529,15 @@ class TestBruteForce:
             assert fast.welfare == pytest.approx(slow.welfare, abs=1e-9)
 
     def test_corrupted_tie_break_is_caught(self):
-        # A deliberately loosened, reversed tie rule must visibly diverge
-        # from the oracle somewhere in a modest instance batch.
+        # An oracle given a deliberately loosened, reversed tie rule must
+        # visibly diverge from the DP somewhere in a modest instance batch.
         rng = np.random.default_rng(49)
         corrupt = CORRUPT_TIE_BREAK
         mismatches = 0
         for _ in range(50):
             ladder, mbs = _random_instance(rng)
-            bad = solve(ladder, mbs, Objective.MBS_REVENUE, tie=corrupt)
-            good = brute_force_solve(ladder, mbs, Objective.MBS_REVENUE)
+            bad = brute_force_solve(ladder, mbs, Objective.MBS_REVENUE, tie=corrupt)
+            good = solve(ladder, mbs, Objective.MBS_REVENUE)
             if (
                 bad.contract.assignment != good.contract.assignment
                 or abs(bad.revenue - good.revenue) > 1e-9

@@ -74,11 +74,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="scenario file or preset name")
     parser.add_argument("--out", default=None, help="output directory (default: from config)")
     parser.add_argument(
-        "--no-kcap",
-        action="store_true",
-        help="disable the per-type saturation cap in the solver",
-    )
-    parser.add_argument(
         "--threads",
         type=_thread_count,
         default=1,
@@ -138,12 +133,7 @@ def _dispatch(args) -> int:
     if args.command in ("solve", "sweep"):
         run = run_solve if args.command == "solve" else run_sweep
         config = _resolve_config(args.config)
-        report = run(
-            config,
-            out_dir=args.out,
-            threads=args.threads,
-            use_k_cap=False if args.no_kcap else None,
-        )
+        report = run(config, out_dir=args.out, threads=args.threads)
         for line in report.lines:
             print(line)
         return EXIT_OK

@@ -8,6 +8,12 @@ rational (its own option yields non-negative surplus).
 
 Prices are expressed in the same unit as utility, expected served users,
 so revenue subtracts channel cost from payments directly.
+
+There is one evaluator per quantity. ``revenue`` and ``social_welfare``
+take the base station's cost of the channels sold as a number, entry
+``total_weight`` of ``stochastic.cost_table``, and ``gain`` takes the
+utilities it is made of as a callable, so the same formula scores one
+channel count or a whole row of them.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .stochastic import mbs_cost, uav_utility
+from .stochastic import uav_utility
 
 __all__ = [
     "TypeLadder",
@@ -32,11 +38,8 @@ __all__ = [
     "lemma2_conditions",
     "optimal_prices",
     "revenue",
-    "revenue_at_cost",
     "gain",
-    "gain_from_utilities",
     "social_welfare",
-    "welfare_at_cost",
     "total_weight",
     "operator_surpluses",
 ]
@@ -410,20 +413,8 @@ def total_weight(ladder: TypeLadder, assignment: QualityAssignment) -> int:
     return sum(c * v for c, v in zip(ladder.counts, assignment.w))
 
 
-def _affordable_weight(
-    ladder: TypeLadder, assignment: QualityAssignment, mbs: MbsLoad
-) -> int:
-    sold = total_weight(ladder, assignment)
-    if sold > mbs.total_channels:
-        raise ValueError(
-            f"assignment needs {sold} channels but the base station holds "
-            f"{mbs.total_channels}"
-        )
-    return sold
-
-
-def revenue(ladder: TypeLadder, contract: Contract, mbs: MbsLoad) -> float:
-    """Net payoff of the base station for a given contract.
+def revenue(ladder: TypeLadder, contract: Contract, cost: float) -> float:
+    """Net payoff of the base station for a contract at a given channel cost.
 
     Payments collected from every operator minus the cost of the channels
     handed out.
@@ -431,34 +422,25 @@ def revenue(ladder: TypeLadder, contract: Contract, mbs: MbsLoad) -> float:
     Args:
         ladder: The operator types.
         contract: The menu being deployed.
-        mbs: Base-station stock and load.
+        cost: The base station's cost C(sum_t count_t * w_t) of the
+            channels the menu sells; entry ``total_weight`` of
+            ``stochastic.cost_table``.
 
     Returns:
-        sum_t count_t * p_t - C(sum_t count_t * w_t).
+        sum_t count_t * p_t - cost.
 
     Raises:
-        ValueError: If the assignment needs more channels than the stock.
+        ValueError: On dimension mismatch between ladder and contract.
     """
-    sold = _affordable_weight(ladder, contract.assignment, mbs)
-    return revenue_at_cost(
-        ladder, contract, mbs_cost(sold, mbs.total_channels, mbs.load)
-    )
-
-
-def revenue_at_cost(ladder: TypeLadder, contract: Contract, cost: float) -> float:
-    """Payments collected from every operator minus a given channel cost.
-
-    ``revenue`` is this form with cost C(sum_t count_t * w_t); a caller
-    holding the whole cost row C(0..M) passes its entry instead.
-    """
+    _check_dimensions(ladder, len(contract.prices.p), "contract")
     payments = math.fsum(
         c * p for c, p in zip(ladder.counts, contract.prices.p)
     )
     return payments - cost
 
 
-def gain(ladder: TypeLadder, t: int, w: int) -> float:
-    """Per-type decoupled revenue contribution of handing w channels to type t.
+def gain(ladder: TypeLadder, t: int, utility):
+    """Per-type decoupled revenue contribution of a channel count for type t.
 
     G_t(w) = C_t * U(lam_t, w) - D_t * U(lam_{t+1}, w), where C_t counts
     operators of type t and above and D_t those strictly above. Summing
@@ -469,35 +451,19 @@ def gain(ladder: TypeLadder, t: int, w: int) -> float:
     Args:
         ladder: The operator types.
         t: Type index, 0-based.
-        w: Channel count to evaluate.
+        utility: Callable mapping a type index s to U(lam_s, w), either
+            for one w (a float) or for a range of w (a numpy array, giving
+            G_t elementwise over that range with the same arithmetic).
 
     Returns:
-        G_t(w); zero when w is zero.
+        G_t(w), as a float or an array matching what ``utility`` returns;
+        zero where w is zero.
 
     Raises:
         ValueError: If t is out of range.
     """
     if not 0 <= t < ladder.size:
         raise ValueError(f"type index {t} out of range for {ladder.size} types")
-    return gain_from_utilities(
-        ladder, t, lambda s: uav_utility(ladder.lambdas[s], w)
-    )
-
-
-def gain_from_utilities(ladder: TypeLadder, t: int, utility):
-    """G_t given the utilities it is made of; the one home of its formula.
-
-    Args:
-        ladder: The operator types.
-        t: Type index, 0-based and in range.
-        utility: Callable mapping a type index s to U(lam_s, w), either
-            for one w (a float) or for a range of w (a numpy array, giving
-            G_t elementwise over that range with the same arithmetic).
-
-    Returns:
-        G_t(w) = C_t * U(lam_t, w) - D_t * U(lam_{t+1}, w), as a float or
-        an array matching what ``utility`` returns.
-    """
     above = sum(ladder.counts[t:])
     strictly_above = above - ladder.counts[t]
     value = above * utility(t)
@@ -507,38 +473,28 @@ def gain_from_utilities(ladder: TypeLadder, t: int, utility):
 
 
 def social_welfare(
-    ladder: TypeLadder, assignment: QualityAssignment, mbs: MbsLoad
+    ladder: TypeLadder, assignment: QualityAssignment, cost: float
 ) -> float:
-    """Total surplus created by an assignment, independent of prices.
+    """Total surplus created by an assignment at a given channel cost.
 
     Utility delivered to all operators minus the base station's channel
-    cost. Equals revenue plus total operator surplus for any feasible
-    pricing of the same assignment (payments cancel out).
+    cost, independent of prices. Equals revenue plus total operator
+    surplus for any feasible pricing of the same assignment (payments
+    cancel out).
 
     Args:
         ladder: The operator types.
         assignment: Channel counts per type.
-        mbs: Base-station stock and load.
+        cost: The base station's cost C(sum_t count_t * w_t), as for
+            ``revenue``.
 
     Returns:
-        sum_t count_t * U(lam_t, w_t) - C(sum_t count_t * w_t).
+        sum_t count_t * U(lam_t, w_t) - cost.
 
     Raises:
-        ValueError: If the assignment exceeds the channel stock.
+        ValueError: On dimension mismatch between ladder and assignment.
     """
-    sold = _affordable_weight(ladder, assignment, mbs)
-    return welfare_at_cost(
-        ladder, assignment, mbs_cost(sold, mbs.total_channels, mbs.load)
-    )
-
-
-def welfare_at_cost(
-    ladder: TypeLadder, assignment: QualityAssignment, cost: float
-) -> float:
-    """Utility delivered to all operators minus a given channel cost.
-
-    ``social_welfare`` is this form with cost C(sum_t count_t * w_t).
-    """
+    _check_dimensions(ladder, len(assignment.w), "assignment")
     served = math.fsum(
         c * uav_utility(lam, v)
         for c, lam, v in zip(ladder.counts, ladder.lambdas, assignment.w)

@@ -195,12 +195,10 @@ def run_solve(
     *,
     out_dir: str | None = None,
     threads: int = 1,
-    use_k_cap: bool | None = None,
 ) -> RunReport:
     """Solve the configured scenario and write contract/trace/summary CSVs."""
     del threads  # a single solve has nothing worth parallelizing
     ladder = _resolve_ladder(config)
-    kcap = config.use_k_cap if use_k_cap is None else use_k_cap
     digest = config_hash(config)
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -209,7 +207,7 @@ def run_solve(
     files = []
     summary_rows = []
     for objective in config.objectives:
-        result = solve(ladder, config.mbs, objective, use_k_cap=kcap)
+        result = solve(ladder, config.mbs, objective, use_k_cap=config.use_k_cap)
         stem = _OBJECTIVE_STEM[objective]
         contract = result.contract
         contract_table = ResultTable(
@@ -229,8 +227,10 @@ def run_solve(
         trace_table = ResultTable(
             columns=("capacity", "inner_value", "objective_value"),
             rows=tuple(
-                (pt.capacity, pt.inner_value, pt.objective_value)
-                for pt in result.trace
+                (w, inner, net)
+                for w, (inner, net) in enumerate(
+                    zip(result.inner_values, result.objective_values)
+                )
             ),
             metadata=_metadata(digest),
         )
@@ -278,7 +278,6 @@ def run_sweep(
     *,
     out_dir: str | None = None,
     threads: int = 1,
-    use_k_cap: bool | None = None,
 ) -> RunReport:
     """Solve the scenario once per sweep value and write one CSV table.
 
@@ -292,7 +291,6 @@ def run_sweep(
     """
     if config.sweep is None:
         raise ConfigError("sweep: this command needs a sweep section")
-    kcap = config.use_k_cap if use_k_cap is None else use_k_cap
     digest = config_hash(config)
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -305,7 +303,7 @@ def run_sweep(
             [
                 _objective_cells(ladder, result)
                 for result in solve_loads(
-                    ladder, total, values, objective, use_k_cap=kcap
+                    ladder, total, values, objective, use_k_cap=config.use_k_cap
                 )
             ]
             for objective in config.objectives
@@ -329,7 +327,7 @@ def run_sweep(
             if derived.lambdas:
                 ladder = derived.ladder()
                 for objective in config.objectives:
-                    result = solve(ladder, config.mbs, objective, use_k_cap=kcap)
+                    result = solve(ladder, config.mbs, objective, use_k_cap=config.use_k_cap)
                     cells += _objective_cells(ladder, result)
             else:
                 for _ in config.objectives:

@@ -53,11 +53,11 @@ from .contract import (
     MbsLoad,
     QualityAssignment,
     TypeLadder,
-    gain_from_utilities,
+    gain,
     optimal_prices,
-    revenue_at_cost,
+    revenue,
+    social_welfare,
     total_weight,
-    welfare_at_cost,
 )
 from .stochastic import cost_table, saturation_channels, utility_table
 
@@ -131,21 +131,12 @@ class DpTables:
 
 
 @dataclass(frozen=True)
-class TracePoint:
-    """One budget step of the outer scan."""
-
-    capacity: int
-    inner_value: float
-    objective_value: float
-
-
-@dataclass(frozen=True)
 class SolverResult:
     """Best contract found, its evaluation, and the per-budget values.
 
     ``inner_values[w]`` is the best gross value within budget w and
     ``objective_values[w]`` that value net of the cost of selling w
-    channels; ``trace`` pairs them per budget.
+    channels.
     """
 
     contract: Contract
@@ -155,15 +146,6 @@ class SolverResult:
     inner_values: tuple[float, ...] = field(repr=False)
     objective_values: tuple[float, ...] = field(repr=False)
 
-    @property
-    def trace(self) -> tuple[TracePoint, ...]:
-        return tuple(
-            TracePoint(capacity=w, inner_value=inner, objective_value=net)
-            for w, (inner, net) in enumerate(
-                zip(self.inner_values, self.objective_values)
-            )
-        )
-
 
 def _gain_rows(ladder: TypeLadder, objective: Objective, top: int) -> np.ndarray:
     """Per-type objective contribution for every count 0..top.
@@ -172,15 +154,14 @@ def _gain_rows(ladder: TypeLadder, objective: Objective, top: int) -> np.ndarray
     (information rents of higher types already netted out), or the raw
     served traffic N_t * U(lambda_t, k) for the welfare objective.  Each
     type's utilities come from one table, whose entry k is the value
-    ``uav_utility`` returns, and the gain is formed by the evaluators' own
-    formula elementwise, so solver values and evaluations agree bit for
-    bit.
+    ``uav_utility`` returns, and ``gain`` forms the revenue rows
+    elementwise with the arithmetic it uses for one count, so solver
+    values and evaluations agree bit for bit.
     """
     tables = [utility_table(lam, top) for lam in ladder.lambdas]
     if objective is Objective.MBS_REVENUE:
         rows = [
-            gain_from_utilities(ladder, t, tables.__getitem__)
-            for t in range(ladder.size)
+            gain(ladder, t, tables.__getitem__) for t in range(ladder.size)
         ]
     else:
         rows = [count * table for count, table in zip(ladder.counts, tables)]
@@ -418,8 +399,8 @@ def _package(
     cost = float(costs[sold])
     return SolverResult(
         contract=contract,
-        revenue=revenue_at_cost(ladder, contract, cost),
-        welfare=welfare_at_cost(ladder, assignment, cost),
+        revenue=revenue(ladder, contract, cost),
+        welfare=social_welfare(ladder, assignment, cost),
         sold=sold,
         inner_values=inner_values,
         objective_values=tuple(net.tolist()),

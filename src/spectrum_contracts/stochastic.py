@@ -22,7 +22,8 @@ tail.
 
 ``cost_table`` sums the same tails from the top down, again exactly, so
 each entry is the correctly rounded suffix sum at O(1) extra cost per
-entry, and ``mbs_cost`` is one entry of it. ``utility_table`` and
+entry; the cost of selling ``m`` channels is its entry ``m``, and
+selling more than ``M`` fails at that lookup. ``utility_table`` and
 ``uav_utility`` share one cumulative pass over the same terms, taking
 every tail as one minus the compensated sum of the terms below it.
 """
@@ -40,7 +41,6 @@ __all__ = [
     "poisson_tail",
     "uav_utility",
     "utility_table",
-    "mbs_cost",
     "cost_table",
     "saturation_channels",
 ]
@@ -249,34 +249,12 @@ def utility_table(mean: float, max_channels: int) -> np.ndarray:
     )
 
 
-def mbs_cost(sold: int, total: int, load: float) -> float:
-    """Expected service the base station loses by selling channels.
-
-    Selling ``m`` of ``M`` channels removes the tail terms
-    ``P(X_BS >= M-m+1) .. P(X_BS >= M)`` from the station's utility.
-
-    Args:
-        sold: Channels sold, 0 <= sold <= total.
-        total: Total channels M at the base station.
-        load: Mean active-user count at the base station.
-
-    Returns:
-        C(sold) >= 0, strictly increasing and convex in sold.
-
-    Raises:
-        ValueError: If sold exceeds total or any input is out of domain.
-    """
-    sold = _check_count(sold, "sold")
-    total = _check_count(total, "total")
-    if sold > total:
-        raise ValueError(f"sold channels ({sold}) exceed the total ({total})")
-    return float(cost_table(total, load)[sold])
-
-
 def cost_table(total: int, load: float) -> np.ndarray:
     """Costs C(0..total) for a base station with the given size and load.
 
-    Entry m is the correctly rounded sum of the top m tails, accumulated
+    Selling m of M channels removes the tail terms
+    ``P(X_BS >= M-m+1) .. P(X_BS >= M)`` from the station's utility, so
+    entry m is the correctly rounded sum of the top m tails, accumulated
     exactly from the top down.
 
     Args:
@@ -284,7 +262,8 @@ def cost_table(total: int, load: float) -> np.ndarray:
         load: Mean active-user count at the base station.
 
     Returns:
-        Array of length total + 1; entry m is C(m).
+        Array of length total + 1; entry m is C(m) >= 0, strictly
+        increasing and convex in m.
     """
     total = _check_count(total, "total")
     load = _check_mean(load)

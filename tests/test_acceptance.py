@@ -30,7 +30,6 @@ from spectrum_contracts.contract import (
     lemma2_conditions,
     optimal_prices,
     revenue,
-    social_welfare,
     validate_feasibility,
 )
 from spectrum_contracts.geometry import (
@@ -46,6 +45,7 @@ from spectrum_contracts.runner import (
 )
 from spectrum_contracts.solver import Objective, solve
 from spectrum_contracts.stochastic import (
+    cost_table,
     poisson_tail,
     saturation_channels,
     uav_utility,
@@ -267,7 +267,9 @@ class TestCriterion5LoadSweepShape:
             by_welfare = solve(REFERENCE_LADDER, mbs, Objective.SOCIAL_WELFARE)
             diffs.append(by_welfare.sold - by_revenue.sold)
             social_contract_revenue = revenue(
-                REFERENCE_LADDER, by_welfare.contract, mbs
+                REFERENCE_LADDER,
+                by_welfare.contract,
+                cost_table(mbs.total_channels, mbs.load)[by_welfare.sold],
             )
             assert by_revenue.revenue >= social_contract_revenue - 1e-12
         for earlier, later in zip(diffs, diffs[1:]):

@@ -737,11 +737,10 @@ class TestCommandLine:
         config = (
             f"ladder:\n  lambdas: [{lambdas}]\n"
             "mbs:\n  total_channels: 2000\n  load: 1500.0\n"
+            "solver:\n  use_k_cap: false\n"
         )
         out = tmp_path / "o"
-        code = main(
-            ["solve", "--config", self._write(tmp_path, config), "--out", str(out), "--no-kcap"]
-        )
+        code = main(["solve", "--config", self._write(tmp_path, config), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         needed = solver.dp_table_bytes(100, 2000, 2000)
@@ -749,9 +748,13 @@ class TestCommandLine:
         assert f"need {needed} bytes" in err
         assert not list(out.glob("*.csv"))
 
-    def test_no_kcap_flag_is_accepted(self, tmp_path, capsys):
+    def test_no_kcap_flag_is_a_usage_error(self, tmp_path, capsys):
+        # The config key solver.use_k_cap is the cap's only switch.
         cfg = self._write(tmp_path, MINIMAL)
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--no-kcap"]) == 0
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out), "--no-kcap"]) == 1
+        assert "--no-kcap" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_runs_differ_only_in_timestamp(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL)

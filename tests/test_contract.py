@@ -21,11 +21,22 @@ from spectrum_contracts.contract import (
     total_weight,
     validate_feasibility,
 )
-from spectrum_contracts.stochastic import mbs_cost, poisson_tail, uav_utility
+from spectrum_contracts.stochastic import cost_table, poisson_tail, uav_utility
 
 
 def _contract(w, p):
     return Contract(QualityAssignment(tuple(w)), PriceSchedule(tuple(p)))
+
+
+def _cost(ladder, assignment, mbs):
+    """The base station's cost of the channels an assignment sells."""
+    costs = cost_table(mbs.total_channels, mbs.load)
+    return float(costs[total_weight(ladder, assignment)])
+
+
+def _gain_at(ladder, t, w):
+    """G_t at one channel count w."""
+    return gain(ladder, t, lambda s: uav_utility(ladder.lambdas[s], w))
 
 
 def _random_ladder(rng, max_types=4, lam_hi=8.0):
@@ -249,25 +260,26 @@ class TestRevenueAndWelfare:
         ladder = TypeLadder((1.0, 2.0), (1, 2))
         mbs = MbsLoad(10, 3.0)
         contract = _contract((0, 0), (0.0, 0.0))
-        assert revenue(ladder, contract, mbs) == 0.0
-        assert social_welfare(ladder, contract.assignment, mbs) == 0.0
+        cost = _cost(ladder, contract.assignment, mbs)
+        assert revenue(ladder, contract, cost) == 0.0
+        assert social_welfare(ladder, contract.assignment, cost) == 0.0
 
     def test_single_type_revenue_value(self):
         # Frozen: U(2,1) - P(X_1 >= 10).
         ladder = TypeLadder((2.0,), (1,))
         mbs = MbsLoad(10, 1.0)
         contract = _contract((1,), (uav_utility(2.0, 1),))
-        assert revenue(ladder, contract, mbs) == pytest.approx(
+        cost = _cost(ladder, contract.assignment, mbs)
+        assert revenue(ladder, contract, cost) == pytest.approx(
             0.864664605337909, abs=1e-12
         )
 
-    def test_budget_enforced(self):
-        ladder = TypeLadder((2.0,), (3,))
-        mbs = MbsLoad(5, 1.0)
-        with pytest.raises(ValueError, match="holds"):
-            revenue(ladder, _contract((2,), (0.1,)), mbs)
-        with pytest.raises(ValueError, match="holds"):
-            social_welfare(ladder, QualityAssignment((2,)), mbs)
+    def test_dimension_mismatch(self):
+        ladder = TypeLadder((1.0, 2.0), (1, 1))
+        with pytest.raises(ValueError, match="types"):
+            revenue(ladder, _contract((1,), (0.1,)), 0.0)
+        with pytest.raises(ValueError, match="types"):
+            social_welfare(ladder, QualityAssignment((1, 1, 1)), 0.0)
 
     def test_welfare_decomposes_into_revenue_plus_surplus(self):
         rng = np.random.default_rng(28)
@@ -280,8 +292,9 @@ class TestRevenueAndWelfare:
                 c * s
                 for c, s in zip(ladder.counts, operator_surpluses(ladder, contract))
             )
-            lhs = social_welfare(ladder, assignment, mbs)
-            rhs = revenue(ladder, contract, mbs) + surplus
+            cost = _cost(ladder, assignment, mbs)
+            lhs = social_welfare(ladder, assignment, cost)
+            rhs = revenue(ladder, contract, cost) + surplus
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_revenue_decomposes_into_gains_minus_cost(self):
@@ -293,10 +306,12 @@ class TestRevenueAndWelfare:
             mbs = MbsLoad(sold + 3, 5.0)
             contract = Contract(assignment, optimal_prices(ladder, assignment))
             gains = math.fsum(
-                gain(ladder, t, assignment.w[t]) for t in range(ladder.size)
+                _gain_at(ladder, t, assignment.w[t]) for t in range(ladder.size)
             )
-            want = gains - mbs_cost(sold, mbs.total_channels, mbs.load)
-            assert revenue(ladder, contract, mbs) == pytest.approx(want, abs=1e-9)
+            cost = _cost(ladder, assignment, mbs)
+            assert revenue(ladder, contract, cost) == pytest.approx(
+                gains - cost, abs=1e-9
+            )
 
 
 class TestGain:
@@ -304,33 +319,33 @@ class TestGain:
         ladder = TypeLadder((1.0, 2.0, 3.0), (1, 2, 1))
         # Suffix counts: above = (4, 3, 1); strictly above = (3, 1, 0).
         for w in (0, 1, 3):
-            assert gain(ladder, 0, w) == pytest.approx(
+            assert _gain_at(ladder, 0, w) == pytest.approx(
                 4 * uav_utility(1.0, w) - 3 * uav_utility(2.0, w), abs=1e-12
             )
-            assert gain(ladder, 1, w) == pytest.approx(
+            assert _gain_at(ladder, 1, w) == pytest.approx(
                 3 * uav_utility(2.0, w) - 1 * uav_utility(3.0, w), abs=1e-12
             )
-            assert gain(ladder, 2, w) == pytest.approx(
+            assert _gain_at(ladder, 2, w) == pytest.approx(
                 1 * uav_utility(3.0, w), abs=1e-12
             )
 
     def test_last_type_has_no_discount_term(self):
         ladder = TypeLadder((1.5, 4.0), (2, 3))
-        assert gain(ladder, 1, 5) == pytest.approx(
+        assert _gain_at(ladder, 1, 5) == pytest.approx(
             3 * uav_utility(4.0, 5), abs=1e-12
         )
 
     def test_zero_channels_zero_gain(self):
         ladder = TypeLadder((1.0, 2.0), (1, 1))
-        assert gain(ladder, 0, 0) == 0.0
-        assert gain(ladder, 1, 0) == 0.0
+        assert _gain_at(ladder, 0, 0) == 0.0
+        assert _gain_at(ladder, 1, 0) == 0.0
 
     def test_index_out_of_range(self):
         ladder = TypeLadder((1.0,), (1,))
         with pytest.raises(ValueError, match="out of range"):
-            gain(ladder, 1, 2)
+            _gain_at(ladder, 1, 2)
         with pytest.raises(ValueError, match="out of range"):
-            gain(ladder, -1, 2)
+            _gain_at(ladder, -1, 2)
 
 
 class TestIncreasingPreference:

@@ -3,8 +3,12 @@
 ``reference_partition`` scores every UAV on every cell, the way the
 partition did before it learned to skip cells a UAV cannot win.  The
 culled partition must reproduce its owner array and areas exactly,
-bit for bit, on any placement.
+bit for bit, on any placement.  Generated placements on small grids
+also check properties that need no reference: mirror symmetry, the
+independence of UAV order, and areas that tile the window.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -146,3 +150,60 @@ def test_preset_heights_match_the_full_grid(height):
     if height >= 700.0:
         # Every relay's reach is empty: the culled pass scores no cell.
         assert grid.areas == (0.0,) * 10
+
+
+@st.composite
+def origin_scenarios(draw):
+    """Small grids (cells of at least 25 m), base station at the origin."""
+    cells = draw(st.integers(3, 60))
+    extent = draw(st.floats(12.5 * cells, 2000.0))
+    coordinate = st.floats(-extent, extent)
+    positions = draw(
+        st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6, unique=True)
+    )
+    placement = Placement(
+        uav_positions=tuple(dict.fromkeys(positions)),
+        height=draw(st.floats(10.0, 2000.0)),
+    )
+    terrain = draw(st.sampled_from([URBAN, SUBURBAN]))
+    radio = draw(st.sampled_from([DEFAULT_RADIO, LOUD_RADIO]))
+    return placement, terrain, radio, extent, 2.0 * extent / cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(origin_scenarios())
+def test_mirroring_the_uavs_mirrors_the_owners(case):
+    # Cell centers are exactly symmetric about the base station at the
+    # origin, so every SNR in the mirrored layout is the same float.
+    placement, terrain, radio, extent, cell_size = case
+    mirrored = Placement(
+        uav_positions=tuple((x, -y) for x, y in placement.uav_positions),
+        height=placement.height,
+    )
+    grid = partition_regions(placement, terrain, radio, extent, cell_size)
+    flipped = partition_regions(mirrored, terrain, radio, extent, cell_size)
+    assert np.array_equal(flipped.owner, grid.owner[:, ::-1])
+    assert flipped.areas == grid.areas
+
+
+@settings(max_examples=60, deadline=None)
+@given(origin_scenarios(), st.randoms(use_true_random=False))
+def test_uav_order_leaves_the_base_station_cells_unchanged(case, random):
+    # A UAV-versus-MBS tie goes to the MBS, so a cell is UAV-owned
+    # exactly when its best UAV beats the MBS, whatever the UAV order.
+    placement, terrain, radio, extent, cell_size = case
+    positions = list(placement.uav_positions)
+    random.shuffle(positions)
+    shuffled = Placement(uav_positions=tuple(positions), height=placement.height)
+    grid = partition_regions(placement, terrain, radio, extent, cell_size)
+    again = partition_regions(shuffled, terrain, radio, extent, cell_size)
+    assert np.array_equal(again.owner == MBS_OWNER, grid.owner == MBS_OWNER)
+    assert np.count_nonzero(again.owner >= 0) == np.count_nonzero(grid.owner >= 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(origin_scenarios())
+def test_areas_tile_the_window(case):
+    grid = partition_regions(*case)
+    tiled = math.fsum(grid.areas) + grid.mbs_area
+    assert tiled == pytest.approx(grid.total_area, rel=1e-12, abs=0.0)

@@ -22,7 +22,6 @@ from spectrum_contracts.stochastic import (
     _check_mean,
     _log_pmf,
     cost_table,
-    mbs_cost,
     poisson_tail,
     saturation_channels,
     uav_utility,
@@ -333,8 +332,9 @@ def test_mbs_cost_matches_reference(data, load, total):
         solds = [0, 1, 99, 100, 101, 999, 1000]
     else:
         solds = data.draw(st.lists(st.integers(0, total), min_size=1, max_size=4))
+    table = cost_table(total, load)
     for sold in solds:
-        assert mbs_cost(sold, total, load) == reference_mbs_cost(sold, total, load)
+        assert table[sold] == reference_mbs_cost(sold, total, load)
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,5 +390,6 @@ def test_gain_rows_match_per_cell_gain(ladder, top):
     assert revenue_rows.shape == welfare_rows.shape == (ladder.size, top + 1)
     for t, (lam, count) in enumerate(zip(ladder.lambdas, ladder.counts)):
         for k in range(top + 1):
-            assert revenue_rows[t, k] == reference_gain(ladder, t, k) == gain(ladder, t, k)
+            cell = gain(ladder, t, lambda s: uav_utility(ladder.lambdas[s], k))
+            assert revenue_rows[t, k] == reference_gain(ladder, t, k) == cell
             assert welfare_rows[t, k] == count * uav_utility(lam, k)

@@ -15,6 +15,7 @@ from spectrum_contracts.contract import (
     gain,
     revenue,
     social_welfare,
+    total_weight,
     validate_feasibility,
 )
 from spectrum_contracts.solver import (
@@ -34,7 +35,7 @@ from spectrum_contracts.solver import (
     solve_loads,
 )
 from spectrum_contracts.runner import DEFAULT_ORACLE_SEED, sample_instance
-from spectrum_contracts.stochastic import mbs_cost, saturation_channels, uav_utility
+from spectrum_contracts.stochastic import cost_table, saturation_channels, uav_utility
 
 
 def _random_instance(rng, max_types=3, max_budget=12, lam_lo=0.5, lam_hi=5.0):
@@ -134,7 +135,12 @@ IDLE_LOAD = 1e-5
 def _inner(ladder, objective, W):
     """Inner value at budget W and the chosen assignment, with no cap."""
     result = solve(ladder, MbsLoad(W, IDLE_LOAD), objective, use_k_cap=False)
-    return result.trace[W].inner_value, result.contract.assignment
+    return result.inner_values[W], result.contract.assignment
+
+
+def _gain_at(ladder, t, w):
+    """G_t at one channel count w."""
+    return gain(ladder, t, lambda s: uav_utility(ladder.lambdas[s], w))
 
 
 class TestDpInner:
@@ -144,7 +150,7 @@ class TestDpInner:
         # the scan settles on budget 0.
         ladder = TypeLadder((1.0, 2.0), (1, 1))
         result = solve(ladder, MbsLoad(4, 1e4), Objective.MBS_REVENUE, use_k_cap=False)
-        assert result.trace[0].inner_value == 0.0
+        assert result.inner_values[0] == 0.0
         assert result.sold == 0
         assert result.contract.assignment.w == (0, 0)
 
@@ -156,7 +162,7 @@ class TestDpInner:
     def test_single_type_enumerates_gains(self):
         ladder = TypeLadder((2.5,), (1,))
         value, assignment = _inner(ladder, Objective.MBS_REVENUE, 3)
-        candidates = [gain(ladder, 0, k) for k in range(4)]
+        candidates = [_gain_at(ladder, 0, k) for k in range(4)]
         assert value == max(candidates)
         assert assignment.w == (int(np.argmax(candidates)),)
 
@@ -169,7 +175,7 @@ class TestDpInner:
             for w2 in range(w1, 5):
                 if w1 + w2 > 4:
                     continue
-                v = gain(ladder, 0, w1) + gain(ladder, 1, w2)
+                v = _gain_at(ladder, 0, w1) + _gain_at(ladder, 1, w2)
                 if v > best:
                     best, best_pair = v, (w1, w2)
         assert value == pytest.approx(best, abs=1e-12)
@@ -186,9 +192,9 @@ class TestDpInner:
                 assert assignment.is_monotone
                 spent = sum(c * w for c, w in zip(ladder.counts, assignment.w))
                 assert spent == result.sold <= W
-                value = result.trace[spent].inner_value
+                value = result.inner_values[spent]
                 direct = math.fsum(
-                    gain(ladder, t, w) for t, w in enumerate(assignment.w)
+                    _gain_at(ladder, t, w) for t, w in enumerate(assignment.w)
                 ) if objective is Objective.MBS_REVENUE else math.fsum(
                     c * uav_utility(lam, w)
                     for c, lam, w in zip(ladder.counts, ladder.lambdas, assignment.w)
@@ -224,7 +230,7 @@ class TestDpInner:
         # Base layer: achievable cells hold that type's own gain.
         for k in range(K + 1):
             for w in range(k * ladder.counts[-1], W + 1):
-                assert opt[2, k, w] == gain(ladder, 2, k)
+                assert opt[2, k, w] == _gain_at(ladder, 2, k)
         assert tables.decision[~possible].max(initial=0) == 0
 
     def test_decision_uses_the_narrowest_type_for_the_cap(self):
@@ -297,12 +303,12 @@ class TestSolve:
         for _ in range(30):
             ladder, mbs = _random_instance(rng)
             res = solve(ladder, mbs, Objective.MBS_REVENUE)
-            assert len(res.trace) == mbs.total_channels + 1
-            assert [p.capacity for p in res.trace] == list(range(mbs.total_channels + 1))
-            best = max(p.objective_value for p in res.trace)
+            assert len(res.inner_values) == mbs.total_channels + 1
+            assert len(res.objective_values) == mbs.total_channels + 1
+            best = max(res.objective_values)
             assert res.revenue == pytest.approx(best, abs=1e-9)
             soc = solve(ladder, mbs, Objective.SOCIAL_WELFARE)
-            best_soc = max(p.objective_value for p in soc.trace)
+            best_soc = max(soc.objective_values)
             assert soc.welfare == pytest.approx(best_soc, abs=1e-9)
 
     def test_contract_is_always_feasible(self):
@@ -320,12 +326,11 @@ class TestSolve:
         for _ in range(10):
             ladder, mbs = _random_instance(rng, max_budget=10)
             res = solve(ladder, mbs, Objective.MBS_REVENUE)
-            assert res.trace[0].inner_value == 0.0
-            for point in res.trace[1:]:
-                w = point.capacity
+            assert res.inner_values[0] == 0.0
+            for w, inner in enumerate(res.inner_values[1:], start=1):
                 # A dedicated run at budget w caps counts at min(w, cap).
                 dedicated = solve(ladder, MbsLoad(w, mbs.load), Objective.MBS_REVENUE)
-                assert dedicated.trace[w].inner_value == point.inner_value
+                assert dedicated.inner_values[w] == inner
 
     def test_saturation_cap_changes_nothing(self):
         rng = np.random.default_rng(45)
@@ -477,9 +482,8 @@ class TestBruteForce:
         ladder = TypeLadder((5.0,), (1,))
         mbs = MbsLoad(10, 1.0)
         res = brute_force_solve(ladder, mbs, Objective.MBS_REVENUE)
-        nets = [
-            uav_utility(5.0, k) - mbs_cost(k, 10, 1.0) for k in range(11)
-        ]
+        costs = cost_table(10, 1.0)
+        nets = [uav_utility(5.0, k) - costs[k] for k in range(11)]
         assert res.contract.assignment.w == (int(np.argmax(nets)),)
         assert res.revenue == pytest.approx(max(nets), abs=1e-12)
 
@@ -493,15 +497,14 @@ class TestBruteForce:
                 assert fast.contract.assignment == slow.contract.assignment
                 assert fast.revenue == pytest.approx(slow.revenue, abs=1e-9)
                 assert fast.welfare == pytest.approx(slow.welfare, abs=1e-9)
-                for a, b in zip(fast.trace, slow.trace):
-                    assert a.inner_value == pytest.approx(b.inner_value, abs=1e-9)
-                    assert a.objective_value == pytest.approx(
-                        b.objective_value, abs=1e-9
-                    )
+                for a, b in zip(fast.inner_values, slow.inner_values):
+                    assert a == pytest.approx(b, abs=1e-9)
+                for a, b in zip(fast.objective_values, slow.objective_values):
+                    assert a == pytest.approx(b, abs=1e-9)
 
     def test_scores_equal_the_public_evaluators(self):
-        # Both solvers score against the load's cost row; the public
-        # evaluators sum the cost afresh.  The floats must be the same.
+        # Both solvers score their pick with the public evaluators, at
+        # the entry of the load's cost row for the channels sold.
         for index in range(200):
             rng = np.random.default_rng(DEFAULT_ORACLE_SEED + index)
             ladder, mbs = sample_instance(rng)
@@ -511,9 +514,11 @@ class TestBruteForce:
                     brute_force_solve(ladder, mbs, objective),
                 ):
                     contract = result.contract
-                    assert result.revenue == revenue(ladder, contract, mbs)
+                    sold = total_weight(ladder, contract.assignment)
+                    cost = cost_table(mbs.total_channels, mbs.load)[sold]
+                    assert result.revenue == revenue(ladder, contract, cost)
                     assert result.welfare == social_welfare(
-                        ladder, contract.assignment, mbs
+                        ladder, contract.assignment, cost
                     )
 
     @settings(max_examples=200, deadline=None)
@@ -549,7 +554,7 @@ class TestBruteForce:
         ladder = TypeLadder((1.0, 3.0), (2, 1))
         mbs = MbsLoad(7, 2.0)
         res = brute_force_solve(ladder, mbs, Objective.SOCIAL_WELFARE)
-        assert len(res.trace) == 8
+        assert len(res.inner_values) == len(res.objective_values) == 8
         assert res.contract.assignment.is_monotone
 
 

@@ -8,7 +8,6 @@ from scipy import special, stats
 
 from spectrum_contracts.stochastic import (
     cost_table,
-    mbs_cost,
     poisson_pmf,
     poisson_tail,
     saturation_channels,
@@ -161,17 +160,17 @@ class TestUavUtility:
 
 class TestMbsCost:
     def test_selling_nothing_costs_nothing(self):
-        assert mbs_cost(0, 200, 120.0) == 0.0
+        assert cost_table(200, 120.0)[0] == 0.0
 
     def test_selling_everything_costs_full_utility(self):
         total, load = 60, 25.0
-        assert mbs_cost(total, total, load) == pytest.approx(
+        assert cost_table(total, load)[total] == pytest.approx(
             uav_utility(load, total), abs=1e-12
         )
 
     def test_known_value(self):
         # Frozen: sum of tails P(X_160 >= 191..200) from the gamma oracle.
-        assert mbs_cost(10, 200, 160.0) == pytest.approx(
+        assert cost_table(200, 160.0)[10] == pytest.approx(
             0.04283856009650226, abs=1e-12
         )
 
@@ -183,20 +182,12 @@ class TestMbsCost:
 
     def test_marginal_cost_is_tail(self):
         total, load = 30, 9.0
+        table = cost_table(total, load)
         for m in range(1, total + 1):
-            marginal = mbs_cost(m, total, load) - mbs_cost(m - 1, total, load)
+            marginal = table[m] - table[m - 1]
             assert marginal == pytest.approx(
                 poisson_tail(load, total - m + 1), abs=1e-12
             )
-
-    def test_table_matches_scalar(self):
-        table = cost_table(25, 7.5)
-        for m in (0, 1, 12, 25):
-            assert table[m] == mbs_cost(m, 25, 7.5)
-
-    def test_rejects_oversell(self):
-        with pytest.raises(ValueError, match="exceed"):
-            mbs_cost(11, 10, 5.0)
 
 
 class TestSaturationChannels:

@@ -4,8 +4,8 @@ The package splits into five layers:
 
 * :mod:`~spectrum_contracts.stochastic`: Poisson tails, operator
   utility, base-station opportunity cost.
-* :mod:`~spectrum_contracts.contract`: contract data model, feasibility
-  screening, optimal pricing, evaluators.
+* :mod:`~spectrum_contracts.contract`: contract data model, optimal
+  pricing, evaluators.
 * :mod:`~spectrum_contracts.solver`: channel-assignment search (layered
   DP plus an exhaustive oracle).
 * :mod:`~spectrum_contracts.geometry`: air-to-ground channel model,

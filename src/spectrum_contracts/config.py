@@ -44,8 +44,6 @@ DEFAULT_CELL_SIZE = 5.0
 
 SWEEP_PARAMETERS = ("load", "height")
 
-_MISSING = object()
-
 
 def watts_to_dbm(watts: float) -> float:
     """Convert a power in watts to dBm."""
@@ -484,21 +482,30 @@ def parse_config(data, marks: dict[str, int] | None = None) -> ScenarioConfig:
 
 
 def loads_config(text: str) -> ScenarioConfig:
-    """Parse scenario YAML from a string."""
+    """Parse scenario YAML from a string.
+
+    The text is composed into one node tree, which yields both the data
+    (through the safe constructor) and the line marks of every key.
+    """
+    loader = yaml.SafeLoader(text)
+    marks: dict[str, int] = {}
     try:
-        data = yaml.safe_load(text)
-        node = yaml.compose(text)
+        node = loader.get_single_node()
+        data = None
+        if node is not None:
+            # Marks first: constructing flattens merge keys in the node.
+            _collect_marks(node, "", marks)
+            data = loader.construct_document(node)
     except yaml.YAMLError as exc:
         detail = str(exc)
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             detail = f"line {mark.line + 1}: {getattr(exc, 'problem', detail)}"
         raise ConfigError(f"invalid YAML: {detail}") from exc
+    finally:
+        loader.dispose()
     if data is None:
         raise ConfigError("config: the file is empty")
-    marks: dict[str, int] = {}
-    if node is not None:
-        _collect_marks(node, "", marks)
     return parse_config(data, marks)
 
 

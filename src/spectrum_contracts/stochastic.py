@@ -12,13 +12,13 @@ Every probability mass ``term(k) = P(X = k)`` comes from one generator,
 formed, or, for means large enough to underflow ``exp(-lam)``, from log
 space, each term on its own.
 
-Tail probabilities come from one forward pass over those terms that
-carries the sum of the terms below k. Up to the mean the tail is one minus
-that running sum; above the mean it is summed upward from ``term(k)`` to
-convergence, which keeps it strictly positive far into the tail. The
-running sum is compensated, or, in log space, kept exactly, as an integer
-count of ``2**-1074`` (every finite float is one), and rounded once per
-tail.
+Tail probabilities come from ``_tails``, one forward pass over those
+terms that carries the sum of the terms below k. Up to the mean the tail
+is one minus that running sum; above the mean it is summed upward from
+``term(k)`` to convergence, which keeps it strictly positive far into
+the tail. The running sum is compensated, or, in log space, kept
+exactly, as an integer count of ``2**-1074`` (every finite float is
+one), and rounded once per tail.
 
 ``cost_table`` sums the same tails from the top down, again exactly, so
 each entry is the correctly rounded suffix sum at O(1) extra cost per
@@ -37,8 +37,6 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
-    "poisson_pmf",
-    "poisson_tail",
     "uav_utility",
     "utility_table",
     "cost_table",
@@ -103,24 +101,6 @@ def _terms(mean: float, first: int = 0) -> Iterator[float]:
         term *= mean / k
 
 
-def poisson_pmf(mean: float, k: int) -> float:
-    """Probability that a Poisson variable with the given mean equals k.
-
-    Args:
-        mean: Mean active-user count; positive and finite.
-        k: Non-negative integer outcome.
-
-    Returns:
-        P(X = k), evaluated without forming factorials.
-
-    Raises:
-        ValueError: If the mean is not positive and finite, or k < 0.
-    """
-    mean = _check_mean(mean)
-    k = _check_count(k, "k")
-    return next(_terms(mean, k))
-
-
 def _upper_sum(mean: float, k: int, term: float) -> float:
     """Compensated sum of pmf terms k, k+1, ... to convergence from term(k)."""
     total = term
@@ -163,29 +143,6 @@ def _tails(mean: float, start: int) -> Iterator[float]:
                 comp = (t - below) - y
                 below = t
         k += 1
-
-
-def poisson_tail(mean: float, k: int) -> float:
-    """Upper tail P(X >= k) for a Poisson variable with the given mean.
-
-    For k at or below the mean the tail is computed as one minus the lower
-    cumulative sum; above the mean the upper sum is accumulated directly,
-    which keeps the result strictly positive and strictly decreasing in k
-    far into the tail.
-
-    Args:
-        mean: Mean active-user count; positive and finite.
-        k: Non-negative integer threshold.
-
-    Returns:
-        P(X >= k) in [0, 1]. Equals 1.0 for k = 0.
-
-    Raises:
-        ValueError: If the mean is not positive and finite, or k < 0.
-    """
-    mean = _check_mean(mean)
-    k = _check_count(k, "k")
-    return next(_tails(mean, k))
 
 
 def _utilities(mean: float, max_channels: int) -> list[float]:

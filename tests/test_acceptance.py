@@ -27,10 +27,8 @@ from spectrum_contracts.contract import (
     PriceSchedule,
     QualityAssignment,
     TypeLadder,
-    lemma2_conditions,
     optimal_prices,
     revenue,
-    validate_feasibility,
 )
 from spectrum_contracts.geometry import (
     DensityMap,
@@ -46,10 +44,12 @@ from spectrum_contracts.runner import (
 from spectrum_contracts.solver import Objective, solve
 from spectrum_contracts.stochastic import (
     cost_table,
-    poisson_tail,
     saturation_channels,
     uav_utility,
 )
+
+from contract_checks import lemma2_conditions, validate_feasibility
+from poisson_wrappers import poisson_tail
 
 REFERENCE_LADDER = TypeLadder(tuple(float(t) for t in range(1, 11)), (1,) * 10)
 

@@ -187,6 +187,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="invalid YAML: line 2"):
             loads_config("mbs:\n  - ]broken\n")
 
+    def test_python_tags_are_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^invalid YAML: line 2:"):
+            loads_config('mbs:\n  load: !!python/object/apply:os.system ["true"]\n')
+        target = tmp_path / "made"
+        with pytest.raises(ConfigError, match=r"^invalid YAML: line 2:"):
+            loads_config(f"mbs:\n  load: !!python/object/apply:os.mkdir [{str(target)!r}]\n")
+        assert not target.exists()
+
+    def test_merged_keys_keep_the_line_of_the_explicit_key(self):
+        # Constructing the data flattens "<<" into the mapping; the marks
+        # must still come from the text as written.
+        text = MINIMAL.replace(
+            "mbs:\n", "mbs:\n  <<: {load: 2.0, total_channels: 10}\n"
+        ).replace("load: 4.0", "load: -4.0")
+        with pytest.raises(ConfigError, match=r"^mbs.load \(line 6\): must lie in"):
+            loads_config(text)
+
     def test_parse_config_without_marks(self):
         data = {"ladder": {"lambdas": [1.5]}, "mbs": {"total_channels": 3, "load": 1.0}}
         config = parse_config(data)

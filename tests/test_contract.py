@@ -13,15 +13,16 @@ from spectrum_contracts.contract import (
     TypeLadder,
     gain,
     ladder_from_lambdas,
-    lemma2_conditions,
     operator_surpluses,
     optimal_prices,
     revenue,
     social_welfare,
     total_weight,
-    validate_feasibility,
 )
-from spectrum_contracts.stochastic import cost_table, poisson_tail, uav_utility
+from spectrum_contracts.stochastic import cost_table, uav_utility
+
+from contract_checks import lemma2_conditions, validate_feasibility
+from poisson_wrappers import poisson_tail
 
 
 def _contract(w, p):

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from spectrum_contracts import geometry
 from spectrum_contracts.config import (
@@ -159,6 +161,77 @@ class TestSnr:
             assert before == after
 
 
+# Suburban to high-rise environments.  On each, the line-of-sight
+# probability stays below 1 by more than 1e-7 even straight overhead,
+# which keeps a relay at the exclusion height strictly below the base
+# station rather than tied with it to within rounding.
+TERRAINS = (
+    SUBURBAN,
+    URBAN,
+    TerrainParams(a=12.08, b=0.11, eta_los=1.6, eta_nlos=23.0),
+    TerrainParams(a=27.23, b=0.08, eta_los=2.3, eta_nlos=34.0),
+)
+
+
+def relay_exclusion_height(positions, terrain, radio):
+    """Height from which no relay out-hears the base station at (0, 0).
+
+    With ``dp = p_mbs - p_uav > deta = eta_nlos - eta_los``, a relay at
+    ground distance D from the base station and height H is heard at
+    most at ``p_uav - FSPL(sqrt(r^2 + H^2)) - eta_los`` at ground
+    distance r, strictly less since line of sight is never certain,
+    while the base station is heard at ``p_mbs - FSPL(s) - eta_nlos``
+    at a distance s <= D + r.  The relay can win only if
+    ``(D + r)^2 / (r^2 + H^2) > 10^((dp - deta) / 10)``, and the left
+    side is at most ``1 + D^2 / H^2`` (Cauchy-Schwarz), so it wins no
+    cell once ``H >= D / sqrt(10^((dp - deta) / 10) - 1)``.
+    """
+    margin = (radio.p_mbs - radio.p_uav) - (terrain.eta_nlos - terrain.eta_los)
+    reach = max(math.hypot(x, y) for x, y in positions)
+    return reach / math.sqrt(10.0 ** (margin / 10.0) - 1.0)
+
+
+@st.composite
+def heights_past_the_exclusion_bound(draw):
+    """Relays, terrain and powers with dp > deta, at or above the bound."""
+    extent = draw(st.floats(100.0, 3000.0))
+    coordinate = st.floats(-extent, extent)
+    positions = draw(
+        st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6, unique=True)
+    )
+    terrain = draw(st.sampled_from(TERRAINS))
+    p_uav = draw(st.floats(-10.0, 40.0))
+    excess = draw(st.floats(0.1, 30.0))
+    p_mbs = p_uav + terrain.eta_nlos - terrain.eta_los + excess
+    radio = RadioParams(frequency=3e9, p_mbs=p_mbs, p_uav=p_uav, noise=-120.0)
+    bound = relay_exclusion_height(positions, terrain, radio)
+    assume(bound >= 1.0)
+    scale = draw(st.sampled_from((1.0, 1.001)) | st.floats(1.0, 3.0))
+    placement = Placement(uav_positions=tuple(positions), height=bound * scale)
+    return placement, terrain, radio, extent, 2.0 * extent / draw(st.integers(3, 60))
+
+
+PRESET_RING = symmetric_ring(1000.0)
+PRESET_BOUND = relay_exclusion_height(PRESET_RING, URBAN, RADIO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(heights_past_the_exclusion_bound())
+@example((Placement(PRESET_RING, 20000.0), URBAN, RADIO, 3000.0, 50.0))
+@example((Placement(PRESET_RING, PRESET_BOUND), URBAN, RADIO, 3000.0, 100.0))
+def test_no_relay_owns_a_cell_from_the_exclusion_height_up(case):
+    # The reference ring (dp = 23.01 dB, deta = 18 dB, D = 1000 m) is
+    # excluded from about 679 m up: inside criterion 6's [600, 750] m
+    # revenue window.
+    placement, terrain, radio, extent, cell_size = case
+    assert placement.height >= relay_exclusion_height(
+        placement.uav_positions, terrain, radio
+    )
+    grid = partition_regions(placement, terrain, radio, extent, cell_size)
+    assert grid.areas == (0.0,) * len(placement.uav_positions)
+    assert grid.mbs_area == grid.total_area
+
+
 class TestPartitionRegions:
     def test_dominant_uav_owns_the_cell_below_it(self):
         # extent 1050 / cell 100 puts centers on multiples of 100, so the
@@ -213,12 +286,6 @@ class TestPartitionRegions:
         a0 = int(np.count_nonzero(grid.owner == 0))
         a1 = int(np.count_nonzero(grid.owner == 1))
         assert a0 - a1 == tied.size
-
-    def test_extreme_height_cedes_everything_to_the_base_station(self):
-        place = Placement(uav_positions=symmetric_ring(1000.0), height=20000.0)
-        grid = partition_regions(place, URBAN, RADIO, extent=3000.0, cell_size=50.0)
-        assert grid.areas == (0.0,) * 10
-        assert grid.mbs_area == grid.total_area
 
     def test_owner_is_the_horizontally_nearest_uav(self):
         """With one shared height, SNR ranks by ground distance alone."""

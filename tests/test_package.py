@@ -1,5 +1,5 @@
-"""Tests for the package root: its exported names, the README examples and
-the package names the benchmark relies on."""
+"""Tests for the package root: its exported names, the README examples,
+the package names the benchmark relies on, and dead names under src/."""
 
 import ast
 import importlib
@@ -14,7 +14,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Functions the benchmark tracer still wraps but the package has dropped;
 # each must stay absent, and an entry leaves when the tracer drops it.
-TRACED_BUT_REMOVED = {"stochastic.mbs_cost"}
+TRACED_BUT_REMOVED = {"stochastic.mbs_cost", "stochastic.poisson_tail"}
+
+# Exported names no other module needs: ``PriceSchedule`` is the type of
+# ``Contract.prices``, and a run gets one only from ``optimal_prices``.
+EXPORTED_FOR_TESTS = {"contract.PriceSchedule"}
 
 
 def test_readme_python_example_runs(capsys):
@@ -71,3 +75,48 @@ def test_all_lists_exactly_the_bound_names():
     }
     assert set(spectrum_contracts.__all__) == bound | {"__version__"}
     assert len(spectrum_contracts.__all__) == len(set(spectrum_contracts.__all__))
+
+
+def _module_names(tree):
+    """Per top-level statement: the names it binds and the names it reads."""
+    for statement in tree.body:
+        bound = set()
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(statement.name)
+        elif isinstance(statement, ast.Assign):
+            bound.update(t.id for t in statement.targets if isinstance(t, ast.Name))
+        elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+            bound.add(statement.target.id)
+        read = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+        yield bound, read
+
+
+def test_src_holds_no_dead_names():
+    # src/ holds what a run executes: a private name nothing else reads is
+    # dead, and an exported name only the tests use belongs beside them.
+    statements = [
+        (path.stem, bound, read)
+        for path in sorted((ROOT / "src" / "spectrum_contracts").glob("*.py"))
+        for bound, read in _module_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    dead = [
+        f"{module}.{name}"
+        for index, (module, bound, _) in enumerate(statements)
+        for name in bound
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in read for j, (*_, read) in enumerate(statements) if j != index)
+    ]
+    for module in ("contract", "stochastic"):
+        for name in importlib.import_module(f"spectrum_contracts.{module}").__all__:
+            used = any(name in read for other, _, read in statements if other != module)
+            if used == (f"{module}.{name}" in EXPORTED_FOR_TESTS):
+                dead.append(f"{module}.{name}")
+    assert dead == []

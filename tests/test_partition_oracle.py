@@ -5,7 +5,8 @@ partition did before it learned to skip cells a UAV cannot win.  The
 culled partition must reproduce its owner array and areas exactly,
 bit for bit, on any placement.  Generated placements on small grids
 also check properties that need no reference: mirror symmetry, the
-independence of UAV order, and areas that tile the window.
+independence of UAV order (the base station keeps its cells and owner
+labels follow their UAVs), and areas that tile the window.
 """
 
 import math
@@ -40,6 +41,17 @@ DEFAULT_RADIO = RadioParams(
 LOUD_RADIO = RadioParams(frequency=3.0e9, p_mbs=0.0, p_uav=60.0, noise=-120.0)
 
 
+def uav_snr(placement, n, terrain, radio, xs, ys):
+    """SNR of UAV n at the cell centers ``xs``, ``ys``."""
+    ux, uy = placement.uav_positions[n]
+    height = placement.height
+    r = np.hypot(xs - ux, ys - uy)
+    d = np.hypot(r, height)
+    theta = np.degrees(np.arctan2(height, r))
+    loss = pathloss_uav(theta, d, terrain, radio)
+    return snr(radio.p_uav, loss, radio.noise)
+
+
 def reference_partition(
     placement: Placement,
     terrain: TerrainParams,
@@ -57,13 +69,8 @@ def reference_partition(
         best = snr(radio.p_mbs, _free_space(r_mbs, radio.frequency) + terrain.eta_nlos, radio.noise)
     owner = np.full(xs.shape, MBS_OWNER, dtype=np.int64)
 
-    height = placement.height
-    for n, (ux, uy) in enumerate(placement.uav_positions):
-        r = np.hypot(xs - ux, ys - uy)
-        d = np.hypot(r, height)
-        theta = np.degrees(np.arctan2(height, r))
-        loss = pathloss_uav(theta, d, terrain, radio)
-        candidate = snr(radio.p_uav, loss, radio.noise)
+    for n in range(len(placement.uav_positions)):
+        candidate = uav_snr(placement, n, terrain, radio, xs, ys)
         take = candidate > best
         owner[take] = n
         best = np.where(take, candidate, best)
@@ -187,18 +194,33 @@ def test_mirroring_the_uavs_mirrors_the_owners(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(origin_scenarios(), st.randoms(use_true_random=False))
-def test_uav_order_leaves_the_base_station_cells_unchanged(case, random):
+@given(origin_scenarios(), st.data())
+def test_uav_order_permutes_the_owner_labels(case, data):
     # A UAV-versus-MBS tie goes to the MBS, so a cell is UAV-owned
     # exactly when its best UAV beats the MBS, whatever the UAV order.
+    # Ties between UAVs go to the lowest index, so only a cell whose
+    # owner's SNR no other UAV matches must follow its UAV.
     placement, terrain, radio, extent, cell_size = case
-    positions = list(placement.uav_positions)
-    random.shuffle(positions)
-    shuffled = Placement(uav_positions=tuple(positions), height=placement.height)
+    order = data.draw(st.permutations(range(len(placement.uav_positions))))
+    shuffled = Placement(
+        uav_positions=tuple(placement.uav_positions[i] for i in order),
+        height=placement.height,
+    )
     grid = partition_regions(placement, terrain, radio, extent, cell_size)
     again = partition_regions(shuffled, terrain, radio, extent, cell_size)
     assert np.array_equal(again.owner == MBS_OWNER, grid.owner == MBS_OWNER)
-    assert np.count_nonzero(again.owner >= 0) == np.count_nonzero(grid.owner >= 0)
+    centers = _cell_centers(extent, cell_size)
+    xs, ys = np.meshgrid(centers, centers, indexing="ij")
+    snrs = np.stack(
+        [uav_snr(placement, n, terrain, radio, xs, ys) for n in range(len(order))]
+    )
+    owned = grid.owner >= 0
+    best = np.take_along_axis(snrs, np.maximum(grid.owner, 0)[None], axis=0)
+    unique = np.count_nonzero(snrs == best, axis=0) == 1
+    check = owned & unique
+    # UAV order[j] of the original layout is UAV j of the shuffled one.
+    relabel = np.argsort(order)
+    assert np.array_equal(again.owner[check], relabel[grid.owner[check]])
 
 
 @settings(max_examples=60, deadline=None)

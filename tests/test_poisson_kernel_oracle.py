@@ -22,11 +22,12 @@ from spectrum_contracts.stochastic import (
     _check_mean,
     _log_pmf,
     cost_table,
-    poisson_tail,
     saturation_channels,
     uav_utility,
     utility_table,
 )
+
+from poisson_wrappers import poisson_tail
 
 
 def reference_poisson_pmf(mean: float, k: int) -> float:

@@ -16,7 +16,6 @@ from spectrum_contracts.contract import (
     revenue,
     social_welfare,
     total_weight,
-    validate_feasibility,
 )
 from spectrum_contracts.solver import (
     CORRUPT_TIE_BREAK,
@@ -36,6 +35,8 @@ from spectrum_contracts.solver import (
 )
 from spectrum_contracts.runner import DEFAULT_ORACLE_SEED, sample_instance
 from spectrum_contracts.stochastic import cost_table, saturation_channels, uav_utility
+
+from contract_checks import validate_feasibility
 
 
 def _random_instance(rng, max_types=3, max_budget=12, lam_lo=0.5, lam_hi=5.0):

@@ -8,12 +8,12 @@ from scipy import special, stats
 
 from spectrum_contracts.stochastic import (
     cost_table,
-    poisson_pmf,
-    poisson_tail,
     saturation_channels,
     uav_utility,
     utility_table,
 )
+
+from poisson_wrappers import poisson_pmf, poisson_tail
 
 
 def _tail_oracle(mean, k):

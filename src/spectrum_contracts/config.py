@@ -99,16 +99,23 @@ class _Context:
         raise ConfigError(f"{where}: {message}")
 
 
-def _collect_marks(node, path: str, marks: dict[str, int]) -> None:
+def _collect_marks(node, path: str, marks: dict[str, int], enclosing=()) -> None:
+    if any(node is outer for outer in enclosing):
+        # An alias that re-enters a node on its own path: ``a: &x [*x]``.
+        raise ConfigError(
+            f"invalid YAML: line {node.start_mark.line + 1}: "
+            f"recursive alias at {path}: it refers to a node that contains it"
+        )
     marks.setdefault(path, node.start_mark.line + 1)
+    enclosing += (node,)
     if isinstance(node, yaml.MappingNode):
         for key_node, value_node in node.value:
             key = str(key_node.value)
             child = f"{path}.{key}" if path else key
-            _collect_marks(value_node, child, marks)
+            _collect_marks(value_node, child, marks, enclosing)
     elif isinstance(node, yaml.SequenceNode):
         for index, item in enumerate(node.value):
-            _collect_marks(item, f"{path}[{index}]", marks)
+            _collect_marks(item, f"{path}[{index}]", marks, enclosing)
 
 
 def _as_map(ctx: _Context, value, path: str, allowed: tuple[str, ...]) -> dict:

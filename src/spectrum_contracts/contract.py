@@ -13,9 +13,11 @@ never checks the constraints themselves.
 Prices are expressed in the same unit as utility, expected served users,
 so revenue subtracts channel cost from payments directly.
 
-There is one evaluator per quantity. ``revenue`` and ``social_welfare``
-take the base station's cost of the channels sold as a number, entry
-``total_weight`` of ``stochastic.cost_table``, and ``gain`` takes the
+There is one evaluator per quantity, and none sums a utility or a cost.
+``revenue`` and ``social_welfare`` take the base station's cost of the
+channels sold, entry ``total_weight`` of ``stochastic.cost_table``;
+``optimal_prices``, ``social_welfare`` and ``operator_surpluses`` read
+per-type ``stochastic.utility_table`` rows, and ``gain`` takes the
 utilities it is made of as a callable, so the same formula scores one
 channel count or a whole row of them.
 """
@@ -24,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .stochastic import uav_utility
 
 __all__ = [
     "TypeLadder",
@@ -202,7 +202,9 @@ def _check_dimensions(ladder: TypeLadder, length: int, what: str) -> None:
         )
 
 
-def optimal_prices(ladder: TypeLadder, assignment: QualityAssignment) -> PriceSchedule:
+def optimal_prices(
+    ladder: TypeLadder, assignment: QualityAssignment, utilities
+) -> PriceSchedule:
     """Revenue-maximizing prices for a monotone quality assignment.
 
     The first type is charged its full utility (its rationality constraint
@@ -213,6 +215,8 @@ def optimal_prices(ladder: TypeLadder, assignment: QualityAssignment) -> PriceSc
     Args:
         ladder: The operator types.
         assignment: Monotone channel counts, one per type.
+        utilities: Per-type utility tables; ``utilities[t][w]`` is
+            U(lam_t, w) for every count w the assignment holds.
 
     Returns:
         The unique price schedule that extracts maximum payment while
@@ -227,12 +231,9 @@ def optimal_prices(ladder: TypeLadder, assignment: QualityAssignment) -> PriceSc
             f"assignment must be nondecreasing in type, got {assignment.w}"
         )
     w = assignment.w
-    prices = [uav_utility(ladder.lambdas[0], w[0])]
+    prices = [utilities[0][w[0]]]
     for t in range(1, ladder.size):
-        step = uav_utility(ladder.lambdas[t], w[t]) - uav_utility(
-            ladder.lambdas[t], w[t - 1]
-        )
-        prices.append(prices[-1] + step)
+        prices.append(prices[-1] + (utilities[t][w[t]] - utilities[t][w[t - 1]]))
     return PriceSchedule(tuple(prices))
 
 
@@ -302,7 +303,7 @@ def gain(ladder: TypeLadder, t: int, utility):
 
 
 def social_welfare(
-    ladder: TypeLadder, assignment: QualityAssignment, cost: float
+    ladder: TypeLadder, assignment: QualityAssignment, utilities, cost: float
 ) -> float:
     """Total surplus created by an assignment at a given channel cost.
 
@@ -314,6 +315,7 @@ def social_welfare(
     Args:
         ladder: The operator types.
         assignment: Channel counts per type.
+        utilities: Per-type utility tables, as for ``optimal_prices``.
         cost: The base station's cost C(sum_t count_t * w_t), as for
             ``revenue``.
 
@@ -325,18 +327,17 @@ def social_welfare(
     """
     _check_dimensions(ladder, len(assignment.w), "assignment")
     served = math.fsum(
-        c * uav_utility(lam, v)
-        for c, lam, v in zip(ladder.counts, ladder.lambdas, assignment.w)
+        c * table[v] for c, table, v in zip(ladder.counts, utilities, assignment.w)
     )
     return served - cost
 
 
-def operator_surpluses(ladder: TypeLadder, contract: Contract) -> tuple[float, ...]:
-    """Per-type surplus U(lam_t, w_t) - p_t under a contract."""
+def operator_surpluses(
+    ladder: TypeLadder, contract: Contract, utilities
+) -> tuple[float, ...]:
+    """Per-type surplus U(lam_t, w_t) - p_t, U read as ``optimal_prices`` does."""
     _check_dimensions(ladder, len(contract.assignment.w), "contract")
     return tuple(
-        uav_utility(lam, v) - p
-        for lam, v, p in zip(
-            ladder.lambdas, contract.assignment.w, contract.prices.p
-        )
+        float(table[v]) - p
+        for table, v, p in zip(utilities, contract.assignment.w, contract.prices.p)
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import ConfigError, GeometryScenario, ScenarioConfig, config_hash
-from .contract import Contract, MbsLoad, TypeLadder, operator_surpluses
+from .contract import Contract, MbsLoad, TypeLadder
 from .geometry import (
     DerivedTypes,
     Placement,
@@ -206,8 +206,8 @@ def run_solve(
     lines = []
     files = []
     summary_rows = []
-    for objective in config.objectives:
-        result = solve(ladder, config.mbs, objective, use_k_cap=config.use_k_cap)
+    results = solve(ladder, config.mbs, config.objectives, use_k_cap=config.use_k_cap)
+    for objective, result in zip(config.objectives, results):
         stem = _OBJECTIVE_STEM[objective]
         contract = result.contract
         contract_table = ResultTable(
@@ -219,7 +219,7 @@ def run_solve(
                     ladder.counts,
                     contract.assignment.w,
                     contract.prices.p,
-                    operator_surpluses(ladder, contract),
+                    result.surpluses,
                 )
             ),
             metadata=_metadata(digest),
@@ -281,9 +281,8 @@ def run_sweep(
 ) -> RunReport:
     """Solve the scenario once per sweep value and write one CSV table.
 
-    A load sweep builds the solver tables once per objective and streams
-    the loads through them in this thread; only the cost row depends on
-    the load.  A height sweep re-partitions and solves at every height,
+    A load sweep solves every load and objective in one solver call, in
+    this thread.  A height sweep re-partitions and solves at every height,
     on up to ``threads`` threads (never more than there are heights or
     CPUs this process may use).
     Relays that own no cells at a height are counted in ``n_excluded``
@@ -299,18 +298,16 @@ def run_sweep(
     if config.sweep.parameter == "load":
         ladder = _resolve_ladder(config)
         total = config.mbs.total_channels
-        by_objective = [
-            [
-                _objective_cells(ladder, result)
-                for result in solve_loads(
-                    ladder, total, values, objective, use_k_cap=config.use_k_cap
-                )
-            ]
-            for objective in config.objectives
+        # Objective by objective, each in load order: a load's cells
+        # are every len(values)-th entry from its index on.
+        cells = [
+            _objective_cells(ladder, result)
+            for result in solve_loads(
+                ladder, total, values, config.objectives, use_k_cap=config.use_k_cap
+            )
         ]
         rows = tuple(
-            sum(cells, (value,))
-            for value, cells in zip(values, zip(*by_objective))
+            sum(cells[j :: len(values)], (value,)) for j, value in enumerate(values)
         )
         columns = _sweep_columns(config, ("load",))
     else:
@@ -326,8 +323,9 @@ def run_sweep(
             )
             if derived.lambdas:
                 ladder = derived.ladder()
-                for objective in config.objectives:
-                    result = solve(ladder, config.mbs, objective, use_k_cap=config.use_k_cap)
+                for result in solve(
+                    ladder, config.mbs, config.objectives, use_k_cap=config.use_k_cap
+                ):
                     cells += _objective_cells(ladder, result)
             else:
                 for _ in config.objectives:
@@ -395,8 +393,7 @@ def run_oracle_check(
         instance_seed = seed + index
         rng = np.random.default_rng(instance_seed)
         ladder, mbs = sample_instance(rng)
-        for objective in Objective:
-            dp = solve(ladder, mbs, objective)
+        for objective, dp in zip(Objective, solve(ladder, mbs, Objective)):
             bf = brute_force_solve(ladder, mbs, objective, cap=cap, tie=bf_tie)
             dp_value = dp.revenue if objective is Objective.MBS_REVENUE else dp.welfare
             bf_value = bf.revenue if objective is Objective.MBS_REVENUE else bf.welfare

@@ -15,8 +15,9 @@ combinatorial core two ways:
   are filled.  One fill serves every budget W = 0..M.
   Then, for each base-station load in turn, ``solve_loads`` subtracts
   that load's expected congestion cost of selling W channels and keeps
-  the best net value.  Only the cost row depends on the load, so a load
-  sweep builds the tables once per objective; ``solve`` is the
+  the best net value.  The cap K, one utility table per type and one
+  cost row per load are built once and serve every objective; only the
+  gain rows and the fill depend on the objective.  ``solve`` is the
   single-load case.  The per-W trace is retained so load curves can be
   plotted from a single run.
 * ``brute_force_solve``: exhaustive enumeration used as a correctness
@@ -54,6 +55,7 @@ from .contract import (
     QualityAssignment,
     TypeLadder,
     gain,
+    operator_surpluses,
     optimal_prices,
     revenue,
     social_welfare,
@@ -71,9 +73,9 @@ DEFAULT_BRUTE_FORCE_CAP = 10_000_000
 # Largest DP working set one ``build_tables`` call will allocate, in bytes
 # (512 MiB).  With the saturation cap the largest ladders in use need about
 # 25 MB (T=100, M=2000, K=93), so only uncapped fills of large ladders come
-# near it; those cannot change the optimum, and the capped run gives the
-# same result.  The limit is per fill: a pooled height sweep holds one fill
-# per worker at once.
+# near it; the capped run of such a ladder gives the same objective value
+# up to rounding-level amounts (see ``solve_loads``).  The limit is per
+# fill: a pooled height sweep holds one fill per worker at once.
 MAX_TABLE_BYTES = 512 * 2**20
 
 
@@ -134,6 +136,7 @@ class DpTables:
 class SolverResult:
     """Best contract found, its evaluation, and the per-budget values.
 
+    ``surpluses[t]`` is type t's surplus under the contract.
     ``inner_values[w]`` is the best gross value within budget w and
     ``objective_values[w]`` that value net of the cost of selling w
     channels.
@@ -143,28 +146,29 @@ class SolverResult:
     revenue: float
     welfare: float
     sold: int
+    surpluses: tuple[float, ...]
     inner_values: tuple[float, ...] = field(repr=False)
     objective_values: tuple[float, ...] = field(repr=False)
 
 
-def _gain_rows(ladder: TypeLadder, objective: Objective, top: int) -> np.ndarray:
-    """Per-type objective contribution for every count 0..top.
+def _gain_rows(
+    ladder: TypeLadder, objective: Objective, utilities: list[np.ndarray]
+) -> np.ndarray:
+    """Per-type objective contribution for every count the tables hold.
 
     Row t holds the seller's gain from assigning k channels to type t
     (information rents of higher types already netted out), or the raw
-    served traffic N_t * U(lambda_t, k) for the welfare objective.  Each
-    type's utilities come from one table, whose entry k is the value
-    ``uav_utility`` returns, and ``gain`` forms the revenue rows
-    elementwise with the arithmetic it uses for one count, so solver
-    values and evaluations agree bit for bit.
+    served traffic N_t * U(lambda_t, k) for the welfare objective.
+    ``utilities[t]`` is type t's ``utility_table``, and ``gain`` forms
+    the revenue rows elementwise with the arithmetic it uses for one
+    count, so solver values and evaluations agree bit for bit.
     """
-    tables = [utility_table(lam, top) for lam in ladder.lambdas]
     if objective is Objective.MBS_REVENUE:
         rows = [
-            gain(ladder, t, tables.__getitem__) for t in range(ladder.size)
+            gain(ladder, t, utilities.__getitem__) for t in range(ladder.size)
         ]
     else:
-        rows = [count * table for count, table in zip(ladder.counts, tables)]
+        rows = [count * table for count, table in zip(ladder.counts, utilities)]
     return np.array(rows, dtype=np.float64)
 
 
@@ -224,17 +228,14 @@ def dp_table_bytes(T: int, K: int, W: int) -> int:
     return (W + 1) * ((K + 1) * (T * itemsize + 2 * 8) + 2 * 8 + itemsize + 1)
 
 
-def build_tables(
-    ladder: TypeLadder,
-    objective: Objective,
-    W: int,
-    K: int,
-) -> DpTables:
-    """Fill the layered value/decision tables for budget W and cap K.
+def build_tables(ladder: TypeLadder, gains: np.ndarray, W: int) -> DpTables:
+    """Fill the layered value/decision tables for budget W.
 
-    Walks the types from the last to the first, keeping two value layers
-    and every layer's decisions, and fills only the states a budget can
-    reach.  With S_t the head count of types t..T, state (t, k, w) is
+    Row t of ``gains`` (``_gain_rows``) values each count 0..K for type
+    t, so its width sets the per-type cap K.  Walks the types from the
+    last to the first, keeping two value layers and every layer's
+    decisions, and fills only the states a budget can reach.  With S_t
+    the head count of types t..T, state (t, k, w) is
     reachable exactly when w >= k*S_t: by induction, the last layer's
     row k is set from w = k*N_T on, and layer t's row k continues from
     the layer below at w - k*N_t with some count j >= k, which is
@@ -251,11 +252,10 @@ def build_tables(
     """
     if not isinstance(W, int) or isinstance(W, bool) or W < 0:
         raise ValueError(f"W must be a nonnegative integer, got {W!r}")
-    if not isinstance(K, int) or isinstance(K, bool) or K < 0:
-        raise ValueError(f"K must be a nonnegative integer, got {K!r}")
+    T = ladder.size
+    K = gains.shape[1] - 1
     if K > W:
         raise ValueError(f"per-type cap K={K} must not exceed the budget W={W}")
-    T = ladder.size
     needed = dp_table_bytes(T, K, W)
     if needed > MAX_TABLE_BYTES:
         raise ValueError(
@@ -263,7 +263,6 @@ def build_tables(
             f"{needed} bytes, over the limit of {MAX_TABLE_BYTES} bytes"
         )
     counts = ladder.counts
-    gains = _gain_rows(ladder, objective, K)
     decision = np.zeros((T, K + 1, W + 1), dtype=np.min_scalar_type(K))
     below = np.full((K + 1, W + 1), IMPOSSIBLE, dtype=np.float64)
     layer = np.empty_like(below)
@@ -308,10 +307,10 @@ def saturation_cap(
     """Per-type cap: where every type's utility has flattened out, at most M.
 
     Beyond the busiest type's saturation point it gains less than ``tol``
-    per extra channel, so larger assignments cannot change any optimum;
-    no type can take more than the M channels there are either.  Equals
-    min(M, saturation_channels(max lambda, tol)) and scans at most M
-    tails.
+    per extra channel, so larger assignments move values by rounding-level
+    amounts only (see ``solve_loads``); no type can take more than the M
+    channels there are either.  Equals min(M, saturation_channels(max
+    lambda, tol)) and scans at most M tails.
     """
     return saturation_channels(max(ladder.lambdas), tol, limit=total_channels)
 
@@ -328,59 +327,67 @@ def solve_loads(
     ladder: TypeLadder,
     total_channels: int,
     loads: Iterable[float],
-    objective: Objective,
+    objectives: Iterable[Objective],
     *,
     use_k_cap: bool = True,
 ) -> Iterator[SolverResult]:
-    """Best feasible menu at each base-station load, by exact search.
+    """Best feasible menu at each load for each objective, by exact search.
 
-    Fills the inner program once across all budgets W = 0..M, then for
-    each load nets out the congestion cost of parting with W channels
-    and prices the winning assignment.  One shared table serves every
-    budget: a column-w extraction of the full-width table is identical
-    to a dedicated width-w table because over-budget states are
-    impossible and can never win an extraction.  The table does not
-    depend on the load either, so it serves every load; results are
-    yielded one at a time and the table is freed when the loads run
-    out.  With ``use_k_cap`` the per-type counts are additionally capped
-    at the saturation point of the busiest type, which leaves all optima
-    unchanged but removes the quartic blowup in the channel budget.
+    Builds the instance's inputs once: the cap K, one utility table per
+    type up to K and one cost row per load.  Each objective in turn gets
+    one fill across all budgets W = 0..M, which serves every load too: a
+    column-w extraction equals a dedicated width-w fill, since
+    over-budget states are impossible.  Each load's cost row, netted
+    from the fill's values, picks the budget, and the assignment is
+    priced and scored from the same tables and row.  Results come
+    objective by objective, each in load order; each fill is freed
+    before the next.
+
+    ``use_k_cap`` caps every count at the busiest type's saturation
+    point, which removes the quartic blowup in M.  Each channel past it
+    adds under 1e-12 to any utility, so values move by rounding-level
+    amounts; that can still carry a budget across the ``TIE_EPS`` band:
+    for lambda = (0.0078125, 0.009339812342991888, 0.009839324816745404),
+    N = (1, 2, 1), M = 17 and load 1e-8 the capped revenue menu is
+    (1, 5, 5), the uncapped one (1, 4, 4), their revenues 1.8e-12 apart.
     """
     M = total_channels
     K = saturation_cap(ladder, M) if use_k_cap else M
-    tables = build_tables(ladder, objective, M, K)
-    # The first type's row k is reachable from budget k * (all heads) on;
-    # the scan's last step leaves each budget's best first-type count.
-    for _, inner_vals, first_pick in _suffix_scan(
-        tables.opt, sum(ladder.counts)
-    ):
-        pass
-    inner_values = tuple(inner_vals.tolist())
-    for load in loads:
-        mbs = MbsLoad(M, load)
-        costs = cost_table(M, mbs.load)
-        net = inner_vals - costs
-        best_w = _scan_preferred(net, _DP_TIE)
-        assignment = _backtrack(
-            tables.decision, ladder.counts, int(first_pick[best_w]), best_w
-        )
-        yield _package(ladder, assignment, costs, inner_values, net)
+    utilities = [utility_table(lam, K) for lam in ladder.lambdas]
+    cost_rows = [cost_table(M, MbsLoad(M, load).load) for load in loads]
+    heads = sum(ladder.counts)
+    for objective in objectives:
+        tables = build_tables(ladder, _gain_rows(ladder, objective, utilities), M)
+        # The first type's row k is reachable from budget k * (all heads)
+        # on; the scan's last step leaves each budget's best first-type
+        # count.
+        for _, inner_vals, first_pick in _suffix_scan(tables.opt, heads):
+            pass
+        inner_values = tuple(inner_vals.tolist())
+        for costs in cost_rows:
+            net = inner_vals - costs
+            best_w = _scan_preferred(net, _DP_TIE)
+            assignment = _backtrack(
+                tables.decision, ladder.counts, int(first_pick[best_w]), best_w
+            )
+            yield _package(ladder, assignment, utilities, costs, inner_values, net)
+        del tables
 
 
 def solve(
     ladder: TypeLadder,
     mbs: MbsLoad,
-    objective: Objective,
+    objectives: Iterable[Objective],
     *,
     use_k_cap: bool = True,
-) -> SolverResult:
-    """Best feasible menu for the given supply: ``solve_loads`` at one load."""
-    return next(
+) -> tuple[SolverResult, ...]:
+    """One best menu per objective, in order: ``solve_loads`` at one load."""
+    return tuple(
         solve_loads(
             ladder,
             mbs.total_channels,
             (mbs.load,),
-            objective,
+            objectives,
             use_k_cap=use_k_cap,
         )
     )
@@ -389,19 +396,21 @@ def solve(
 def _package(
     ladder: TypeLadder,
     assignment: QualityAssignment,
+    utilities: list[np.ndarray],
     costs: np.ndarray,
     inner_values: tuple[float, ...],
     net: np.ndarray,
 ) -> SolverResult:
-    """Price the assignment and score it against the load's cost row."""
-    contract = Contract(assignment, optimal_prices(ladder, assignment))
+    """Price and score the assignment from the utility tables and cost row."""
+    contract = Contract(assignment, optimal_prices(ladder, assignment, utilities))
     sold = total_weight(ladder, assignment)
     cost = float(costs[sold])
     return SolverResult(
         contract=contract,
         revenue=revenue(ladder, contract, cost),
-        welfare=social_welfare(ladder, assignment, cost),
+        welfare=social_welfare(ladder, assignment, utilities, cost),
         sold=sold,
+        surpluses=operator_surpluses(ladder, contract, utilities),
         inner_values=inner_values,
         objective_values=tuple(net.tolist()),
     )
@@ -508,9 +517,10 @@ def brute_force_solve(
     """Exhaustive oracle: score every affordable monotone assignment.
 
     Refuses instances whose search space exceeds ``cap`` assignments.
-    Uses the same per-type value rows and the same tie-break rule as the
-    dynamic program, so on tractable instances the two must agree
-    exactly, which is what the oracle checker verifies.
+    Builds its own inputs, apart from ``solve_loads``, but with the same
+    functions and the same tie-break rule as the dynamic program, so on
+    tractable instances the two must agree exactly, which is what the
+    oracle checker verifies.
     """
     if tie is None:
         tie = _DP_TIE
@@ -520,8 +530,9 @@ def brute_force_solve(
         raise ValueError(
             f"search space of {space} monotone assignments exceeds the cap {cap}"
         )
-    gains = _gain_rows(ladder, objective, M)
-    costs = cost_table(mbs.total_channels, mbs.load)
+    utilities = [utility_table(lam, M) for lam in ladder.lambdas]
+    gains = _gain_rows(ladder, objective, utilities)
+    costs = cost_table(M, mbs.load)
     counts = ladder.counts
     T = ladder.size
 
@@ -539,4 +550,4 @@ def brute_force_solve(
     net = inner - costs
     best_w = _scan_preferred(net, tie)
     assignment = _select_assignment(gains, counts, best_w, tie)
-    return _package(ladder, assignment, costs, tuple(inner.tolist()), net)
+    return _package(ladder, assignment, utilities, costs, tuple(inner.tolist()), net)

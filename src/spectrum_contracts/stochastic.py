@@ -23,9 +23,11 @@ one), and rounded once per tail.
 ``cost_table`` sums the same tails from the top down, again exactly, so
 each entry is the correctly rounded suffix sum at O(1) extra cost per
 entry; the cost of selling ``m`` channels is its entry ``m``, and
-selling more than ``M`` fails at that lookup. ``utility_table`` and
-``uav_utility`` share one cumulative pass over the same terms, taking
-every tail as one minus the compensated sum of the terms below it.
+selling more than ``M`` fails at that lookup. ``utility_table`` makes
+one cumulative pass over the same terms, taking every tail as one minus
+the compensated sum of the terms below it; a shorter table is a
+bit-identical prefix of a longer one, so one table per type, as long as
+the largest count any caller reads, serves every U(lam, w) of a run.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
-    "uav_utility",
     "utility_table",
     "cost_table",
     "saturation_channels",
@@ -150,8 +151,7 @@ def _utilities(mean: float, max_channels: int) -> list[float]:
 
     Each tail is one minus the compensated sum of the terms below it,
     and the utilities are its compensated running sum.  A list, because
-    per-entry stores into an array cost more and ``uav_utility`` needs
-    only the last entry.
+    per-entry stores into an array cost more.
     """
     table = [0.0]
     cdf = cdf_comp = total = total_comp = 0.0
@@ -167,28 +167,6 @@ def _utilities(mean: float, max_channels: int) -> list[float]:
         total = t
         table.append(total)
     return table
-
-
-def uav_utility(mean: float, channels: int) -> float:
-    """Expected users served by an operator of the given type holding channels.
-
-    Equals ``sum_{k=1..w} P(X >= k)``: the expected value of ``min(X, w)``.
-    Zero channels serve nobody; as the channel count grows the utility
-    saturates at the mean itself.
-
-    Args:
-        mean: Type of the operator (mean active-user count).
-        channels: Number of channels held, w >= 0.
-
-    Returns:
-        U(mean, channels), non-negative, strictly below the mean, and
-        equal to entry ``channels`` of ``utility_table``.
-
-    Raises:
-        ValueError: If the mean is not positive and finite, or the
-            channel count is not a non-negative integer.
-    """
-    return _utilities(_check_mean(mean), _check_count(channels, "channels"))[-1]
 
 
 def utility_table(mean: float, max_channels: int) -> np.ndarray:

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from spectrum_contracts.contract import Contract, TypeLadder, _check_dimensions
-from spectrum_contracts.stochastic import uav_utility
+from spectrum_contracts.stochastic import utility_table
+
+from poisson_wrappers import uav_utility
 
 # IC/IR slack below this magnitude is treated as binding, not violated.
 FEASIBILITY_TOL = 1e-9
@@ -184,3 +186,9 @@ def lemma2_conditions(
         feasible &= ok
         checks.append(ConditionCheck(3, t, lower, upper, p[t], ok))
     return Lemma2Report(feasible, tuple(checks))
+
+
+def ladder_utilities(ladder: TypeLadder, top: int) -> list:
+    """One ``utility_table`` per type, up to count top: the tables that
+    pricing and scoring read, as the solver builds them."""
+    return [utility_table(lam, top) for lam in ladder.lambdas]

@@ -1,12 +1,21 @@
-"""Single Poisson probabilities for the tests, read from the package kernel.
+"""Single Poisson values for the tests, read from the package kernel.
 
-A run never asks for one pmf term or one tail: the package tabulates
-whole rows through ``stochastic._terms`` and ``stochastic._tails``.
-These wrappers take one value from the same generators, behind the same
-argument checks the tables use, so the tests probe the kernel itself.
+A run never asks for one pmf term, one tail or one utility: the package
+tabulates whole rows through ``stochastic._terms``, ``stochastic._tails``
+and ``stochastic._utilities``.  These wrappers take one value from the
+same generators, behind the same argument checks the tables use, so the
+tests probe the kernel itself.  ``uav_utility`` is also the reference
+the pricing and scoring evaluators, which read utility tables, are
+checked against.
 """
 
-from spectrum_contracts.stochastic import _check_count, _check_mean, _tails, _terms
+from spectrum_contracts.stochastic import (
+    _check_count,
+    _check_mean,
+    _tails,
+    _terms,
+    _utilities,
+)
 
 
 def poisson_pmf(mean: float, k: int) -> float:
@@ -48,3 +57,25 @@ def poisson_tail(mean: float, k: int) -> float:
     mean = _check_mean(mean)
     k = _check_count(k, "k")
     return next(_tails(mean, k))
+
+
+def uav_utility(mean: float, channels: int) -> float:
+    """Expected users served by an operator of the given type holding channels.
+
+    Equals ``sum_{k=1..w} P(X >= k)``: the expected value of ``min(X, w)``.
+    Zero channels serve nobody; as the channel count grows the utility
+    saturates at the mean itself.
+
+    Args:
+        mean: Type of the operator (mean active-user count).
+        channels: Number of channels held, w >= 0.
+
+    Returns:
+        U(mean, channels), non-negative, strictly below the mean, and
+        equal to entry ``channels`` of ``utility_table``.
+
+    Raises:
+        ValueError: If the mean is not positive and finite, or the
+            channel count is not a non-negative integer.
+    """
+    return _utilities(_check_mean(mean), _check_count(channels, "channels"))[-1]

@@ -42,20 +42,16 @@ from spectrum_contracts.runner import (
     strip_timestamp,
 )
 from spectrum_contracts.solver import Objective, solve
-from spectrum_contracts.stochastic import (
-    cost_table,
-    saturation_channels,
-    uav_utility,
-)
+from spectrum_contracts.stochastic import cost_table, saturation_channels
 
-from contract_checks import lemma2_conditions, validate_feasibility
-from poisson_wrappers import poisson_tail
+from contract_checks import ladder_utilities, lemma2_conditions, validate_feasibility
+from poisson_wrappers import poisson_tail, uav_utility
 
 REFERENCE_LADDER = TypeLadder(tuple(float(t) for t in range(1, 11)), (1,) * 10)
 
 
 def _solve_sold(load: float, objective: Objective) -> tuple[int, float]:
-    result = solve(REFERENCE_LADDER, MbsLoad(200, load), objective)
+    (result,) = solve(REFERENCE_LADDER, MbsLoad(200, load), [objective])
     value = result.revenue if objective is Objective.MBS_REVENUE else result.welfare
     return result.sold, value
 
@@ -137,7 +133,9 @@ class TestCriterion3PricingOptimality:
         resolution = 1e-3
         for _ in range(100):
             ladder, assignment = _random_assignment_instance(rng)
-            prices = optimal_prices(ladder, assignment)
+            prices = optimal_prices(
+                ladder, assignment, ladder_utilities(ladder, max(assignment.w))
+            )
             contract = Contract(assignment, prices)
             size = len(ladder.lambdas)
 
@@ -203,7 +201,7 @@ class TestCriterion4PropertySuites:
         for _ in range(500):
             ladder, mbs = sample_instance(rng)
             objective = Objective.MBS_REVENUE if rng.integers(2) else Objective.SOCIAL_WELFARE
-            result = solve(ladder, mbs, objective)
+            (result,) = solve(ladder, mbs, [objective])
             w = result.contract.assignment.w
             p = result.contract.prices.p
             for t in range(1, len(w)):
@@ -223,9 +221,9 @@ class TestCriterion4PropertySuites:
                 tuple(l + b for l, b in zip(ladder.lambdas, bumps)),
                 ladder.counts,
             )
-            base = solve(ladder, mbs, Objective.MBS_REVENUE).revenue
-            more = solve(bumped, mbs, Objective.MBS_REVENUE).revenue
-            assert more >= base - 1e-12
+            (base,) = solve(ladder, mbs, [Objective.MBS_REVENUE])
+            (more,) = solve(bumped, mbs, [Objective.MBS_REVENUE])
+            assert more.revenue >= base.revenue - 1e-12
 
     def test_criterion_4_utility_saturates_at_the_mean(self):
         rng = np.random.default_rng(106)
@@ -239,9 +237,10 @@ class TestCriterion4PropertySuites:
         for _ in range(500):
             ladder, _ = sample_instance(rng)
             mbs = MbsLoad(int(rng.integers(1, 61)), float(rng.uniform(1.0, 10.0)))
-            for objective in Objective:
-                capped = solve(ladder, mbs, objective, use_k_cap=True)
-                free = solve(ladder, mbs, objective, use_k_cap=False)
+            for capped, free in zip(
+                solve(ladder, mbs, Objective, use_k_cap=True),
+                solve(ladder, mbs, Objective, use_k_cap=False),
+            ):
                 assert capped.revenue == pytest.approx(free.revenue, abs=1e-9)
                 assert capped.welfare == pytest.approx(free.welfare, abs=1e-9)
 
@@ -249,8 +248,7 @@ class TestCriterion4PropertySuites:
         rng = np.random.default_rng(108)
         for _ in range(500):
             ladder, mbs = sample_instance(rng)
-            by_revenue = solve(ladder, mbs, Objective.MBS_REVENUE)
-            by_welfare = solve(ladder, mbs, Objective.SOCIAL_WELFARE)
+            by_revenue, by_welfare = solve(ladder, mbs, Objective)
             assert by_revenue.revenue >= by_welfare.revenue - 1e-9
             assert by_welfare.welfare >= by_revenue.welfare - 1e-9
 
@@ -263,8 +261,7 @@ class TestCriterion5LoadSweepShape:
         diffs = []
         for load in range(100, 201, 10):
             mbs = MbsLoad(200, float(load))
-            by_revenue = solve(REFERENCE_LADDER, mbs, Objective.MBS_REVENUE)
-            by_welfare = solve(REFERENCE_LADDER, mbs, Objective.SOCIAL_WELFARE)
+            by_revenue, by_welfare = solve(REFERENCE_LADDER, mbs, Objective)
             diffs.append(by_welfare.sold - by_revenue.sold)
             social_contract_revenue = revenue(
                 REFERENCE_LADDER,

@@ -187,6 +187,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="invalid YAML: line 2"):
             loads_config("mbs:\n  - ]broken\n")
 
+    def test_an_alias_used_outside_its_node_still_loads(self):
+        text = MINIMAL.replace("[1.0, 2.0, 3.0]", "&v [1.0, 2.0, 3.0]")
+        config = loads_config(text + "sweep: {parameter: load, values: *v}\n")
+        assert config.sweep.values == config.ladder.lambdas
+
     def test_python_tags_are_refused(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^invalid YAML: line 2:"):
             loads_config('mbs:\n  load: !!python/object/apply:os.system ["true"]\n')
@@ -427,7 +432,7 @@ class TestRunSolve:
             "trace_mbs.csv",
             "trace_social.csv",
         ]
-        direct = solve(config.ladder, config.mbs, Objective.MBS_REVENUE)
+        (direct,) = solve(config.ladder, config.mbs, [Objective.MBS_REVENUE])
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         header, first = summary[3], summary[4]
         assert header == "objective,sold,prices_total,revenue,welfare"
@@ -439,7 +444,7 @@ class TestRunSolve:
     def test_contract_table_carries_the_menu(self, tmp_path):
         config = loads_config(MINIMAL)
         run_solve(config, out_dir=str(tmp_path))
-        direct = solve(config.ladder, config.mbs, Objective.MBS_REVENUE)
+        (direct,) = solve(config.ladder, config.mbs, [Objective.MBS_REVENUE])
         rows = (tmp_path / "contract_mbs.csv").read_text().splitlines()[4:]
         assert len(rows) == 3
         for t, row in enumerate(rows):
@@ -455,6 +460,17 @@ class TestRunSolve:
         assert len(rows) == config.mbs.total_channels + 1
         assert [int(r.split(",")[0]) for r in rows] == list(range(11))
 
+    def test_both_objectives_share_one_build_of_each_input(self, tmp_path, monkeypatch):
+        built = _count_builds(monkeypatch)
+        config = loads_config(MINIMAL)
+        run_solve(config, out_dir=str(tmp_path))
+        assert built == {
+            "saturation_cap": 1,
+            "utility_table": list(config.ladder.lambdas),
+            "cost_table": [config.mbs.load],
+            "build_tables": len(config.objectives),
+        }
+
     def test_geometry_scenario_resolves_before_solving(self, tmp_path):
         config = loads_config(GEOMETRY)
         report = run_solve(config, out_dir=str(tmp_path))
@@ -465,6 +481,29 @@ class TestRunSolve:
         with pytest.warns(UserWarning, match="owns no cells"):
             with pytest.raises(ConfigError, match="no UAV owns any cells"):
                 run_solve(loads_config(text), out_dir=str(tmp_path))
+
+
+def _count_builds(monkeypatch):
+    """Count the solver's builds of each per-instance input: calls of the
+    cap and the fill, and the mean of each utility table and the load of
+    each cost row built."""
+    built = {"saturation_cap": 0, "utility_table": [], "cost_table": [], "build_tables": 0}
+    # Which argument to record: utility_table(mean, K), cost_table(M, load).
+    recorded = {"utility_table": 0, "cost_table": 1}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if name in recorded:
+                built[name].append(args[recorded[name]])
+            else:
+                built[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in built:
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    return built
 
 
 def _record_pool_sizes(monkeypatch):
@@ -568,19 +607,19 @@ class TestRunSweep:
         assert texts[0] == texts[1] == texts[2]
 
     def test_load_sweep_builds_tables_once_per_objective(self, tmp_path, monkeypatch):
-        built = []
-        original = solver.build_tables
-
-        def counting(*args, **kwargs):
-            built.append(args[1])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "build_tables", counting)
+        # And every other input once: the cap, one utility table per type
+        # and one cost row per load, shared by both objectives.
+        built = _count_builds(monkeypatch)
         config = loads_config(
             MINIMAL + "sweep: {parameter: load, start: 1.0, stop: 8.0, step: 1.0}\n"
         )
         run_sweep(config, out_dir=str(tmp_path), threads=4)
-        assert built == list(config.objectives)
+        assert built == {
+            "saturation_cap": 1,
+            "utility_table": list(config.ladder.lambdas),
+            "cost_table": list(config.sweep.values),
+            "build_tables": len(config.objectives),
+        }
 
     def test_load_column_is_monotone(self, tmp_path):
         config = loads_config(
@@ -711,6 +750,26 @@ class TestCommandLine:
         code = main(["solve", "--config", bad, "--out", str(tmp_path / "o")])
         assert code == 1
         assert "mbs.load" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, where",
+        [
+            ("dump-config", "a: &x [*x]\n", "a[0]"),
+            ("solve", "ladder: &x {lambdas: [1.0], counts: *x}\n", "ladder.counts"),
+        ],
+        ids=["dump-config", "solve"],
+    )
+    def test_recursive_alias_exits_one(self, tmp_path, capsys, command, text, where):
+        # Without the check the marks walk recursed until RecursionError.
+        argv = [command, "--config", self._write(tmp_path, text)]
+        if command == "solve":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: invalid YAML: line 1: recursive alias at {where}:"
+        )
+        assert "Traceback" not in err
 
     def test_missing_config_exits_three(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "absent.yaml")])

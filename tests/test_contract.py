@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectrum_contracts.contract import (
     Contract,
@@ -19,10 +21,10 @@ from spectrum_contracts.contract import (
     social_welfare,
     total_weight,
 )
-from spectrum_contracts.stochastic import cost_table, uav_utility
+from spectrum_contracts.stochastic import cost_table
 
-from contract_checks import lemma2_conditions, validate_feasibility
-from poisson_wrappers import poisson_tail
+from contract_checks import ladder_utilities, lemma2_conditions, validate_feasibility
+from poisson_wrappers import poisson_tail, uav_utility
 
 
 def _contract(w, p):
@@ -33,6 +35,15 @@ def _cost(ladder, assignment, mbs):
     """The base station's cost of the channels an assignment sells."""
     costs = cost_table(mbs.total_channels, mbs.load)
     return float(costs[total_weight(ladder, assignment)])
+
+
+def _utilities(ladder, assignment):
+    """The per-type utility tables the evaluators read for an assignment."""
+    return ladder_utilities(ladder, max(assignment.w))
+
+
+def _prices(ladder, assignment):
+    return optimal_prices(ladder, assignment, _utilities(ladder, assignment))
 
 
 def _gain_at(ladder, t, w):
@@ -108,7 +119,7 @@ class TestValidateFeasibility:
         for _ in range(100):
             ladder = _random_ladder(rng)
             assignment = _random_monotone_assignment(rng, ladder.size)
-            contract = Contract(assignment, optimal_prices(ladder, assignment))
+            contract = Contract(assignment, _prices(ladder, assignment))
             assert validate_feasibility(ladder, contract).feasible
 
     def test_decreasing_quality_is_never_feasible(self):
@@ -141,7 +152,7 @@ class TestLemma2Conditions:
         for _ in range(50):
             ladder = _random_ladder(rng, max_types=5)
             assignment = _random_monotone_assignment(rng, ladder.size)
-            contract = Contract(assignment, optimal_prices(ladder, assignment))
+            contract = Contract(assignment, _prices(ladder, assignment))
             report = lemma2_conditions(ladder, contract)
             assert report.feasible
             for check in report.checks:
@@ -151,7 +162,7 @@ class TestLemma2Conditions:
     def test_overpriced_first_type_fails_condition_two(self):
         ladder = TypeLadder((1.0, 2.0), (1, 1))
         assignment = QualityAssignment((1, 2))
-        good = optimal_prices(ladder, assignment)
+        good = _prices(ladder, assignment)
         bad = PriceSchedule((good.p[0] + 0.01, good.p[1]))
         report = lemma2_conditions(ladder, Contract(assignment, bad))
         assert not report.feasible
@@ -164,7 +175,7 @@ class TestLemma2Conditions:
         for _ in range(300):
             ladder = _random_ladder(rng, max_types=3, lam_hi=5.0)
             assignment = _random_monotone_assignment(rng, ladder.size, w_hi=5)
-            base = optimal_prices(ladder, assignment)
+            base = _prices(ladder, assignment)
             jitter = rng.normal(scale=0.05, size=ladder.size)
             prices = tuple(max(0.0, p + j) for p, j in zip(base.p, jitter))
             contract = _contract(assignment.w, prices)
@@ -195,18 +206,18 @@ class TestLemma2Conditions:
 class TestOptimalPrices:
     def test_single_type_base_case(self):
         ladder = TypeLadder((2.0,), (1,))
-        prices = optimal_prices(ladder, QualityAssignment((1,)))
+        prices = _prices(ladder, QualityAssignment((1,)))
         assert prices.p[0] == pytest.approx(1.0 - math.exp(-2.0), abs=1e-14)
 
     def test_all_zero_assignment_prices_at_zero(self):
         ladder = TypeLadder((1.0, 2.0, 3.0), (1, 1, 1))
-        prices = optimal_prices(ladder, QualityAssignment((0, 0, 0)))
+        prices = _prices(ladder, QualityAssignment((0, 0, 0)))
         assert prices.p == (0.0, 0.0, 0.0)
 
     def test_two_type_recursion(self):
         # Frozen: p1 = 1 - exp(-1); p2 = p1 + P(X_2 >= 2).
         ladder = TypeLadder((1.0, 2.0), (1, 1))
-        prices = optimal_prices(ladder, QualityAssignment((1, 2)))
+        prices = _prices(ladder, QualityAssignment((1, 2)))
         assert prices.p[0] == pytest.approx(0.6321205588285577, abs=1e-14)
         assert prices.p[1] == pytest.approx(1.2261147091187192, abs=1e-14)
         assert prices.p[1] - prices.p[0] == pytest.approx(
@@ -218,7 +229,7 @@ class TestOptimalPrices:
         ladder = TypeLadder((1.0, 2.0), (1, 1))
         assignment = QualityAssignment((1, 2))
         best_grid = _grid_search_revenue_two_types(ladder, assignment, 1e-3)
-        prices = optimal_prices(ladder, assignment)
+        prices = _prices(ladder, assignment)
         opt = sum(c * p for c, p in zip(ladder.counts, prices.p))
         assert best_grid <= opt + 2e-3 * ladder.size
         assert best_grid >= opt - 2e-3 * ladder.size
@@ -228,7 +239,7 @@ class TestOptimalPrices:
         for _ in range(50):
             ladder = _random_ladder(rng, max_types=4)
             assignment = _random_monotone_assignment(rng, ladder.size)
-            prices = optimal_prices(ladder, assignment)
+            prices = _prices(ladder, assignment)
             for t in range(ladder.size):
                 bumped = list(prices.p)
                 bumped[t] += 1e-6
@@ -240,7 +251,7 @@ class TestOptimalPrices:
     def test_rejects_non_monotone_assignment(self):
         ladder = TypeLadder((1.0, 2.0), (1, 1))
         with pytest.raises(ValueError, match="nondecreasing"):
-            optimal_prices(ladder, QualityAssignment((2, 1)))
+            _prices(ladder, QualityAssignment((2, 1)))
 
     def test_prop3_orderings(self):
         # Prices nondecreasing, strictly increasing exactly with quality.
@@ -248,7 +259,7 @@ class TestOptimalPrices:
         for _ in range(200):
             ladder = _random_ladder(rng, max_types=4, lam_hi=6.0)
             assignment = _random_monotone_assignment(rng, ladder.size, w_hi=6)
-            prices = optimal_prices(ladder, assignment)
+            prices = _prices(ladder, assignment)
             for t in range(1, ladder.size):
                 if assignment.w[t] == assignment.w[t - 1]:
                     assert prices.p[t] == prices.p[t - 1]
@@ -263,7 +274,9 @@ class TestRevenueAndWelfare:
         contract = _contract((0, 0), (0.0, 0.0))
         cost = _cost(ladder, contract.assignment, mbs)
         assert revenue(ladder, contract, cost) == 0.0
-        assert social_welfare(ladder, contract.assignment, cost) == 0.0
+        assert social_welfare(
+            ladder, contract.assignment, _utilities(ladder, contract.assignment), cost
+        ) == 0.0
 
     def test_single_type_revenue_value(self):
         # Frozen: U(2,1) - P(X_1 >= 10).
@@ -280,7 +293,7 @@ class TestRevenueAndWelfare:
         with pytest.raises(ValueError, match="types"):
             revenue(ladder, _contract((1,), (0.1,)), 0.0)
         with pytest.raises(ValueError, match="types"):
-            social_welfare(ladder, QualityAssignment((1, 1, 1)), 0.0)
+            social_welfare(ladder, QualityAssignment((1, 1, 1)), [], 0.0)
 
     def test_welfare_decomposes_into_revenue_plus_surplus(self):
         rng = np.random.default_rng(28)
@@ -288,13 +301,16 @@ class TestRevenueAndWelfare:
             ladder = _random_ladder(rng, max_types=4, lam_hi=6.0)
             assignment = _random_monotone_assignment(rng, ladder.size, w_hi=5)
             mbs = MbsLoad(total_weight(ladder, assignment) + 5, 4.0)
-            contract = Contract(assignment, optimal_prices(ladder, assignment))
+            utilities = _utilities(ladder, assignment)
+            contract = Contract(assignment, optimal_prices(ladder, assignment, utilities))
             surplus = math.fsum(
                 c * s
-                for c, s in zip(ladder.counts, operator_surpluses(ladder, contract))
+                for c, s in zip(
+                    ladder.counts, operator_surpluses(ladder, contract, utilities)
+                )
             )
             cost = _cost(ladder, assignment, mbs)
-            lhs = social_welfare(ladder, assignment, cost)
+            lhs = social_welfare(ladder, assignment, utilities, cost)
             rhs = revenue(ladder, contract, cost) + surplus
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -305,7 +321,7 @@ class TestRevenueAndWelfare:
             assignment = _random_monotone_assignment(rng, ladder.size, w_hi=5)
             sold = total_weight(ladder, assignment)
             mbs = MbsLoad(sold + 3, 5.0)
-            contract = Contract(assignment, optimal_prices(ladder, assignment))
+            contract = Contract(assignment, _prices(ladder, assignment))
             gains = math.fsum(
                 _gain_at(ladder, t, assignment.w[t]) for t in range(ladder.size)
             )
@@ -313,6 +329,64 @@ class TestRevenueAndWelfare:
             assert revenue(ladder, contract, cost) == pytest.approx(
                 gains - cost, abs=1e-9
             )
+
+
+def _reference_prices(ladder, assignment):
+    """``optimal_prices`` as it read utilities before it took tables."""
+    w = assignment.w
+    prices = [uav_utility(ladder.lambdas[0], w[0])]
+    for t in range(1, ladder.size):
+        step = uav_utility(ladder.lambdas[t], w[t]) - uav_utility(
+            ladder.lambdas[t], w[t - 1]
+        )
+        prices.append(prices[-1] + step)
+    return tuple(prices)
+
+
+@st.composite
+def _priced_assignments(draw):
+    """Ladders of up to four types whose busiest mean may lie above 700
+    (the log-space Poisson branch), monotone assignments up to 80
+    channels, and a cost."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    lambdas = sorted(
+        draw(
+            st.lists(
+                st.floats(min_value=0.01, max_value=60.0),
+                min_size=size,
+                max_size=size,
+                unique=True,
+            )
+        )
+    )
+    if draw(st.booleans()):
+        lambdas[-1] = draw(st.floats(min_value=700.5, max_value=1500.0))
+    counts = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    w = sorted(draw(st.lists(st.integers(0, 80), min_size=size, max_size=size)))
+    cost = draw(st.floats(min_value=0.0, max_value=50.0))
+    return TypeLadder(tuple(lambdas), tuple(counts)), QualityAssignment(tuple(w)), cost
+
+
+@settings(max_examples=150, deadline=None)
+@given(_priced_assignments())
+@example((TypeLadder((3.0, 900.0), (2, 1)), QualityAssignment((4, 80)), 7.5))
+def test_evaluators_on_utility_tables_equal_the_utility_reference(case):
+    # Pricing and scoring read the solver's utility tables; every value
+    # must be the one the single-utility reference gives, bit for bit.
+    ladder, assignment, cost = case
+    utilities = _utilities(ladder, assignment)
+    prices = optimal_prices(ladder, assignment, utilities)
+    assert prices.p == _reference_prices(ladder, assignment)
+    served = math.fsum(
+        c * uav_utility(lam, v)
+        for c, lam, v in zip(ladder.counts, ladder.lambdas, assignment.w)
+    )
+    assert social_welfare(ladder, assignment, utilities, cost) == served - cost
+    contract = Contract(assignment, prices)
+    assert operator_surpluses(ladder, contract, utilities) == tuple(
+        uav_utility(lam, v) - p
+        for lam, v, p in zip(ladder.lambdas, assignment.w, prices.p)
+    )
 
 
 class TestGain:

@@ -3,11 +3,12 @@
 ``reference_build_tables`` is the fill that stored the whole value cube
 ``opt[T, K+1, W+1]``, and ``reference_suffix_incumbents`` the full
 (K+1) x (W+1) suffix maxima and picks it scanned each layer with; both
-are kept verbatim apart from their names.  The banded fill keeps two
-value layers, walks the types in the same order, skips only cells that
-hold ``IMPOSSIBLE`` and does the same arithmetic on the rest, so its
-decisions and its first-type layer must equal the reference's byte for
-byte (``tobytes``, never a tolerance).
+are kept verbatim apart from their names and the line that builds the
+gain rows from utility tables.  The banded fill, given the same rows,
+keeps two value layers, walks the types in the same order, skips only
+cells that hold ``IMPOSSIBLE`` and does the same arithmetic on the
+rest, so its decisions and its first-type layer must equal the
+reference's byte for byte (``tobytes``, never a tolerance).
 """
 
 import numpy as np
@@ -24,6 +25,8 @@ from spectrum_contracts.solver import (
     _gain_rows,
     build_tables,
 )
+
+from contract_checks import ladder_utilities
 
 
 def reference_suffix_incumbents(
@@ -81,7 +84,7 @@ def reference_build_tables(
         tie = TieBreak()
     T = ladder.size
     counts = ladder.counts
-    gains = _gain_rows(ladder, objective, K)
+    gains = _gain_rows(ladder, objective, ladder_utilities(ladder, K))
     opt = np.full((T, K + 1, W + 1), IMPOSSIBLE, dtype=np.float64)
     decision = np.zeros((T, K + 1, W + 1), dtype=np.min_scalar_type(K))
 
@@ -139,7 +142,8 @@ def _fills(draw):
 
 def _assert_same_fill(ladder, objective, W, K):
     ref = reference_build_tables(ladder, objective, W, K)
-    new = build_tables(ladder, objective, W, K)
+    gains = _gain_rows(ladder, objective, ladder_utilities(ladder, K))
+    new = build_tables(ladder, gains, W)
     assert new.decision.dtype == ref.decision.dtype
     assert new.decision.shape == ref.decision.shape
     assert new.decision.tobytes() == ref.decision.tobytes()

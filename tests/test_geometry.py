@@ -1,8 +1,6 @@
 """Tests for the air-to-ground channel model and coverage partition."""
 
-import ast
 import csv
-import inspect
 import math
 
 import numpy as np
@@ -10,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spectrum_contracts import geometry
 from spectrum_contracts.config import (
     ConfigError,
     GeometryScenario,
@@ -500,17 +497,3 @@ class TestParameterValidation:
         owner = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(ValueError, match="exceed the analysis window"):
             RegionGrid(extent=10.0, cell_size=10.0, owner=owner, areas=(500.0,))
-
-
-def test_geometry_imports_no_later_layer():
-    # Importing the module runs the package root, which loads every
-    # layer, so the layering is read from the source instead.
-    tree = ast.parse(inspect.getsource(geometry))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").rsplit(".", 1)[-1])
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-    assert not imported & {"solver", "runner", "config"}

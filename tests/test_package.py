@@ -1,5 +1,6 @@
 """Tests for the package root: its exported names, the README examples,
-the package names the benchmark relies on, and dead names under src/."""
+the package names the benchmark relies on, the import layering and dead
+names under src/."""
 
 import ast
 import importlib
@@ -19,6 +20,49 @@ TRACED_BUT_REMOVED = {"stochastic.mbs_cost", "stochastic.poisson_tail"}
 # Exported names no other module needs: ``PriceSchedule`` is the type of
 # ``Contract.prices``, and a run gets one only from ``optimal_prices``.
 EXPORTED_FOR_TESTS = {"contract.PriceSchedule"}
+
+
+# The package modules each module of src/ may import.  The lower layers
+# stand alone: the contract model reads the utilities it is given rather
+# than computing them, and the geometry derives types without the solver
+# or the run layers.
+ALLOWED_IMPORTS = {
+    "_version": set(),
+    "stochastic": set(),
+    "contract": set(),
+    "geometry": {"contract"},
+    "solver": {"contract", "stochastic"},
+    "config": {"contract", "geometry", "solver"},
+    "runner": {"_version", "config", "contract", "geometry", "solver"},
+    "cli": {"config", "runner", "solver"},
+    "__init__": {"_version", "config", "contract", "runner", "solver"},
+}
+
+
+def _package_imports(tree):
+    """Package modules a module imports, read from its source: importing
+    it would run the package root, which loads every layer."""
+    modules = set(ALLOWED_IMPORTS)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").rsplit(".", 1)[-1]]
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        else:
+            continue
+        imported.update(name for name in names if name in modules)
+    return imported
+
+
+def test_each_module_imports_only_its_allowed_layers():
+    paths = sorted((ROOT / "src" / "spectrum_contracts").glob("*.py"))
+    assert {path.stem for path in paths} == set(ALLOWED_IMPORTS)
+    for path in paths:
+        imported = _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        assert imported <= ALLOWED_IMPORTS[path.stem], path.stem
+    assert not ALLOWED_IMPORTS["geometry"] & {"solver", "runner", "config"}
 
 
 def test_readme_python_example_runs(capsys):

@@ -23,11 +23,10 @@ from spectrum_contracts.stochastic import (
     _log_pmf,
     cost_table,
     saturation_channels,
-    uav_utility,
     utility_table,
 )
 
-from poisson_wrappers import poisson_tail
+from poisson_wrappers import poisson_tail, uav_utility
 
 
 def reference_poisson_pmf(mean: float, k: int) -> float:
@@ -386,8 +385,9 @@ def ladders(draw):
 @settings(max_examples=60, deadline=None)
 @given(ladder=ladders(), top=st.integers(min_value=0, max_value=40))
 def test_gain_rows_match_per_cell_gain(ladder, top):
-    revenue_rows = _gain_rows(ladder, Objective.MBS_REVENUE, top)
-    welfare_rows = _gain_rows(ladder, Objective.SOCIAL_WELFARE, top)
+    utilities = [utility_table(lam, top) for lam in ladder.lambdas]
+    revenue_rows = _gain_rows(ladder, Objective.MBS_REVENUE, utilities)
+    welfare_rows = _gain_rows(ladder, Objective.SOCIAL_WELFARE, utilities)
     assert revenue_rows.shape == welfare_rows.shape == (ladder.size, top + 1)
     for t, (lam, count) in enumerate(zip(ladder.lambdas, ladder.counts)):
         for k in range(top + 1):

@@ -1,5 +1,6 @@
 """Tests for the assignment search: inner DP, outer scan, oracle agreement."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from spectrum_contracts.contract import (
     MbsLoad,
     TypeLadder,
     gain,
+    operator_surpluses,
     revenue,
     social_welfare,
     total_weight,
@@ -23,6 +25,7 @@ from spectrum_contracts.solver import (
     MAX_TABLE_BYTES,
     Objective,
     TieBreak,
+    _gain_rows,
     _scan_preferred,
     _suffix_scan,
     brute_force_solve,
@@ -34,9 +37,10 @@ from spectrum_contracts.solver import (
     solve_loads,
 )
 from spectrum_contracts.runner import DEFAULT_ORACLE_SEED, sample_instance
-from spectrum_contracts.stochastic import cost_table, saturation_channels, uav_utility
+from spectrum_contracts.stochastic import cost_table, saturation_channels
 
-from contract_checks import validate_feasibility
+from contract_checks import ladder_utilities, validate_feasibility
+from poisson_wrappers import uav_utility
 
 
 def _random_instance(rng, max_types=3, max_budget=12, lam_lo=0.5, lam_hi=5.0):
@@ -135,8 +139,13 @@ IDLE_LOAD = 1e-5
 
 def _inner(ladder, objective, W):
     """Inner value at budget W and the chosen assignment, with no cap."""
-    result = solve(ladder, MbsLoad(W, IDLE_LOAD), objective, use_k_cap=False)
+    (result,) = solve(ladder, MbsLoad(W, IDLE_LOAD), [objective], use_k_cap=False)
     return result.inner_values[W], result.contract.assignment
+
+
+def _gains(ladder, K, objective=Objective.MBS_REVENUE):
+    """Gain rows for counts 0..K, from the tables ``solve_loads`` builds."""
+    return _gain_rows(ladder, objective, ladder_utilities(ladder, K))
 
 
 def _gain_at(ladder, t, w):
@@ -150,7 +159,9 @@ class TestDpInner:
         # one served user, more than any operator can earn from it, so
         # the scan settles on budget 0.
         ladder = TypeLadder((1.0, 2.0), (1, 1))
-        result = solve(ladder, MbsLoad(4, 1e4), Objective.MBS_REVENUE, use_k_cap=False)
+        (result,) = solve(
+            ladder, MbsLoad(4, 1e4), [Objective.MBS_REVENUE], use_k_cap=False
+        )
         assert result.inner_values[0] == 0.0
         assert result.sold == 0
         assert result.contract.assignment.w == (0, 0)
@@ -158,7 +169,7 @@ class TestDpInner:
     def test_cap_above_budget_is_rejected(self):
         ladder = TypeLadder((1.0,), (1,))
         with pytest.raises(ValueError, match="must not exceed"):
-            build_tables(ladder, Objective.MBS_REVENUE, 3, 4)
+            build_tables(ladder, _gains(ladder, 4), 3)
 
     def test_single_type_enumerates_gains(self):
         ladder = TypeLadder((2.5,), (1,))
@@ -187,8 +198,8 @@ class TestDpInner:
         for _ in range(150):
             ladder, mbs = _random_instance(rng)
             W = mbs.total_channels
-            for objective in Objective:
-                result = solve(ladder, mbs, objective, use_k_cap=False)
+            results = solve(ladder, mbs, Objective, use_k_cap=False)
+            for objective, result in zip(Objective, results):
                 assignment = result.contract.assignment
                 assert assignment.is_monotone
                 spent = sum(c * w for c, w in zip(ladder.counts, assignment.w))
@@ -205,20 +216,14 @@ class TestDpInner:
     def test_tables_shape_and_impossible_cells(self):
         ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
         W, K = 9, 5
-        tables = build_tables(ladder, Objective.MBS_REVENUE, W, K)
+        tables = build_tables(ladder, _gains(ladder, K), W)
         # Layer t of the value cube is the first-type layer of the suffix
         # ladder from type t on: gain row t depends only on types t.. .
-        opt = np.stack(
-            [
-                build_tables(
-                    TypeLadder(ladder.lambdas[t:], ladder.counts[t:]),
-                    Objective.MBS_REVENUE,
-                    W,
-                    K,
-                ).opt
-                for t in range(ladder.size)
-            ]
-        )
+        suffixes = [
+            TypeLadder(ladder.lambdas[t:], ladder.counts[t:])
+            for t in range(ladder.size)
+        ]
+        opt = np.stack([build_tables(s, _gains(s, K), W).opt for s in suffixes])
         assert opt.shape == (3, K + 1, W + 1)
         assert tables.decision.shape == (3, K + 1, W + 1)
         possible = opt != IMPOSSIBLE
@@ -237,7 +242,7 @@ class TestDpInner:
     def test_decision_uses_the_narrowest_type_for_the_cap(self):
         ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
         for K, dtype in ((5, np.uint8), (255, np.uint8), (256, np.uint16)):
-            tables = build_tables(ladder, Objective.MBS_REVENUE, 300, K)
+            tables = build_tables(ladder, _gains(ladder, K), 300)
             assert tables.decision.dtype == dtype
 
 
@@ -255,11 +260,12 @@ class TestTableBudget:
         # moved onto a small ladder: exactly the working set is accepted.
         ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
         needed = dp_table_bytes(3, 5, 9)
+        gains = _gains(ladder, 5)
         monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed)
-        build_tables(ladder, Objective.MBS_REVENUE, 9, 5)
+        build_tables(ladder, gains, 9)
         monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed - 1)
         with pytest.raises(ValueError) as info:
-            build_tables(ladder, Objective.MBS_REVENUE, 9, 5)
+            build_tables(ladder, gains, 9)
         message = str(info.value)
         for part in ("T=3", "K=5", "M=9", f"{needed} bytes"):
             assert part in message
@@ -268,10 +274,11 @@ class TestTableBudget:
         # Unrefused, this fill would hold about 0.9 GB.
         ladder = TypeLadder(tuple(float(v) for v in range(1, 101)), (1,) * 100)
         assert dp_table_bytes(100, 2000, 2000) > MAX_TABLE_BYTES
+        gains = _gains(ladder, 2000)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="T=100 types, K=2000, M=2000"):
-                build_tables(ladder, Objective.MBS_REVENUE, 2000, 2000)
+                build_tables(ladder, gains, 2000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -280,35 +287,33 @@ class TestTableBudget:
 
 class TestSolve:
     def test_load_stream_equals_one_solve_per_load(self):
+        # One shared build for every load and objective gives exactly
+        # what a separate solve of each (load, objective) pair gives.
         ladder = TypeLadder((1.5, 4.0, 9.0), (2, 1, 3))
         loads = (0.5, 7.0, 30.0, 650.0, 700.5, 1200.0)
-        for objective in Objective:
-            streamed = list(solve_loads(ladder, 25, loads, objective))
-            assert len(streamed) == len(loads)
-            for load, result in zip(loads, streamed):
-                assert result == solve(ladder, MbsLoad(25, load), objective)
+        streamed = list(solve_loads(ladder, 25, loads, Objective))
+        pairs = list(itertools.product(Objective, loads))
+        assert len(streamed) == len(pairs)
+        for (objective, load), result in zip(pairs, streamed):
+            assert (result,) == solve(ladder, MbsLoad(25, load), [objective])
+
     def test_ten_type_light_load_sold_counts(self):
-        ladder = _ten_type_ladder()
-        mbs = MbsLoad(200, 120.0)
-        assert solve(ladder, mbs, Objective.MBS_REVENUE).sold == 60
-        assert solve(ladder, mbs, Objective.SOCIAL_WELFARE).sold == 71
+        rev, soc = solve(_ten_type_ladder(), MbsLoad(200, 120.0), Objective)
+        assert (rev.sold, soc.sold) == (60, 71)
 
     def test_ten_type_heavy_load_sold_counts(self):
-        ladder = _ten_type_ladder()
-        mbs = MbsLoad(200, 160.0)
-        assert solve(ladder, mbs, Objective.MBS_REVENUE).sold == 39
-        assert solve(ladder, mbs, Objective.SOCIAL_WELFARE).sold == 45
+        rev, soc = solve(_ten_type_ladder(), MbsLoad(200, 160.0), Objective)
+        assert (rev.sold, soc.sold) == (39, 45)
 
     def test_trace_covers_every_budget_and_matches_result(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
             ladder, mbs = _random_instance(rng)
-            res = solve(ladder, mbs, Objective.MBS_REVENUE)
+            res, soc = solve(ladder, mbs, Objective)
             assert len(res.inner_values) == mbs.total_channels + 1
             assert len(res.objective_values) == mbs.total_channels + 1
             best = max(res.objective_values)
             assert res.revenue == pytest.approx(best, abs=1e-9)
-            soc = solve(ladder, mbs, Objective.SOCIAL_WELFARE)
             best_soc = max(soc.objective_values)
             assert soc.welfare == pytest.approx(best_soc, abs=1e-9)
 
@@ -316,8 +321,7 @@ class TestSolve:
         rng = np.random.default_rng(43)
         for _ in range(50):
             ladder, mbs = _random_instance(rng)
-            for objective in Objective:
-                res = solve(ladder, mbs, objective)
+            for res in solve(ladder, mbs, Objective):
                 assert res.sold <= mbs.total_channels
                 assert res.contract.assignment.is_monotone
                 assert validate_feasibility(ladder, res.contract).feasible
@@ -326,20 +330,23 @@ class TestSolve:
         rng = np.random.default_rng(44)
         for _ in range(10):
             ladder, mbs = _random_instance(rng, max_budget=10)
-            res = solve(ladder, mbs, Objective.MBS_REVENUE)
+            (res,) = solve(ladder, mbs, [Objective.MBS_REVENUE])
             assert res.inner_values[0] == 0.0
             for w, inner in enumerate(res.inner_values[1:], start=1):
                 # A dedicated run at budget w caps counts at min(w, cap).
-                dedicated = solve(ladder, MbsLoad(w, mbs.load), Objective.MBS_REVENUE)
+                (dedicated,) = solve(
+                    ladder, MbsLoad(w, mbs.load), [Objective.MBS_REVENUE]
+                )
                 assert dedicated.inner_values[w] == inner
 
     def test_saturation_cap_changes_nothing(self):
         rng = np.random.default_rng(45)
         for _ in range(40):
             ladder, mbs = _random_instance(rng)
-            for objective in Objective:
-                capped = solve(ladder, mbs, objective, use_k_cap=True)
-                full = solve(ladder, mbs, objective, use_k_cap=False)
+            for capped, full in zip(
+                solve(ladder, mbs, Objective, use_k_cap=True),
+                solve(ladder, mbs, Objective, use_k_cap=False),
+            ):
                 assert capped.contract.assignment == full.contract.assignment
                 assert capped.revenue == full.revenue
                 assert capped.welfare == full.welfare
@@ -348,8 +355,7 @@ class TestSolve:
         rng = np.random.default_rng(46)
         for _ in range(60):
             ladder, mbs = _random_instance(rng)
-            rev = solve(ladder, mbs, Objective.MBS_REVENUE)
-            soc = solve(ladder, mbs, Objective.SOCIAL_WELFARE)
+            rev, soc = solve(ladder, mbs, Objective)
             assert rev.revenue >= soc.revenue - 1e-9
             assert soc.welfare >= rev.welfare - 1e-9
 
@@ -363,8 +369,8 @@ class TestSolve:
                 tuple(lam + float(d) for lam, d in zip(ladder.lambdas, bumps)),
                 ladder.counts,
             )
-            base = solve(ladder, mbs, Objective.MBS_REVENUE)
-            more = solve(bumped, mbs, Objective.MBS_REVENUE)
+            (base,) = solve(ladder, mbs, [Objective.MBS_REVENUE])
+            (more,) = solve(bumped, mbs, [Objective.MBS_REVENUE])
             assert more.revenue >= base.revenue - 1e-9
 
 
@@ -387,9 +393,7 @@ class TestHeadline:
         total = data.draw(st.integers(min_value=5, max_value=119))
         load = data.draw(st.floats(min_value=0.5 * total, max_value=1.5 * total))
         ladder = TypeLadder(tuple(sorted(lambdas)), (1,) * size)
-        mbs = MbsLoad(total, load)
-        rev = solve(ladder, mbs, Objective.MBS_REVENUE)
-        soc = solve(ladder, mbs, Objective.SOCIAL_WELFARE)
+        rev, soc = solve(ladder, MbsLoad(total, load), Objective)
         assert rev.sold <= soc.sold
 
     def test_mixed_counts_can_make_the_revenue_menu_sell_more(self):
@@ -397,9 +401,7 @@ class TestHeadline:
         # the welfare menu gives type 2 (one head) two more channels and
         # each of the three type-3 operators one fewer.
         ladder = TypeLadder((4.925, 17.203, 28.57), (3, 1, 3))
-        mbs = MbsLoad(82, 52.81)
-        rev = solve(ladder, mbs, Objective.MBS_REVENUE)
-        soc = solve(ladder, mbs, Objective.SOCIAL_WELFARE)
+        rev, soc = solve(ladder, MbsLoad(82, 52.81), Objective)
         assert (rev.sold, rev.contract.assignment.w) == (50, (0, 5, 15))
         assert (soc.sold, soc.contract.assignment.w) == (49, (0, 7, 14))
 
@@ -448,9 +450,8 @@ class TestTieRule:
     def test_ties_decide_a_full_solve_as_in_the_oracle(self, instance):
         ladder, mbs = instance
         decided = False
-        for objective in Objective:
+        for objective, fast in zip(Objective, solve(ladder, mbs, Objective)):
             slow = brute_force_solve(ladder, mbs, objective)
-            fast = solve(ladder, mbs, objective)
             assert fast.contract.assignment == slow.contract.assignment
             exact = brute_force_solve(ladder, mbs, objective, tie=TieBreak(eps=0.0))
             decided |= exact.contract.assignment != slow.contract.assignment
@@ -492,8 +493,7 @@ class TestBruteForce:
         rng = np.random.default_rng(48)
         for _ in range(200):
             ladder, mbs = _random_instance(rng)
-            for objective in Objective:
-                fast = solve(ladder, mbs, objective)
+            for objective, fast in zip(Objective, solve(ladder, mbs, Objective)):
                 slow = brute_force_solve(ladder, mbs, objective)
                 assert fast.contract.assignment == slow.contract.assignment
                 assert fast.revenue == pytest.approx(slow.revenue, abs=1e-9)
@@ -505,21 +505,23 @@ class TestBruteForce:
 
     def test_scores_equal_the_public_evaluators(self):
         # Both solvers score their pick with the public evaluators, at
-        # the entry of the load's cost row for the channels sold.
+        # the entry of the load's cost row for the channels sold, and
+        # read the utilities from tables of the same values.
         for index in range(200):
             rng = np.random.default_rng(DEFAULT_ORACLE_SEED + index)
             ladder, mbs = sample_instance(rng)
-            for objective in Objective:
-                for result in (
-                    solve(ladder, mbs, objective),
-                    brute_force_solve(ladder, mbs, objective),
-                ):
+            utilities = ladder_utilities(ladder, mbs.total_channels)
+            for objective, fast in zip(Objective, solve(ladder, mbs, Objective)):
+                for result in (fast, brute_force_solve(ladder, mbs, objective)):
                     contract = result.contract
                     sold = total_weight(ladder, contract.assignment)
                     cost = cost_table(mbs.total_channels, mbs.load)[sold]
                     assert result.revenue == revenue(ladder, contract, cost)
                     assert result.welfare == social_welfare(
-                        ladder, contract.assignment, cost
+                        ladder, contract.assignment, utilities, cost
+                    )
+                    assert result.surpluses == operator_surpluses(
+                        ladder, contract, utilities
                     )
 
     @settings(max_examples=200, deadline=None)
@@ -527,8 +529,7 @@ class TestBruteForce:
     def test_agrees_with_dp_on_wider_instances(self, instance):
         ladder, mbs = instance
         assert count_monotone_assignments(ladder, mbs.total_channels) <= 20_000
-        for objective in Objective:
-            fast = solve(ladder, mbs, objective)
+        for objective, fast in zip(Objective, solve(ladder, mbs, Objective)):
             slow = brute_force_solve(ladder, mbs, objective)
             assert fast.contract.assignment == slow.contract.assignment
             assert fast.revenue == pytest.approx(slow.revenue, abs=1e-9)
@@ -543,7 +544,7 @@ class TestBruteForce:
         for _ in range(50):
             ladder, mbs = _random_instance(rng)
             bad = brute_force_solve(ladder, mbs, Objective.MBS_REVENUE, tie=corrupt)
-            good = solve(ladder, mbs, Objective.MBS_REVENUE)
+            (good,) = solve(ladder, mbs, [Objective.MBS_REVENUE])
             if (
                 bad.contract.assignment != good.contract.assignment
                 or abs(bad.revenue - good.revenue) > 1e-9

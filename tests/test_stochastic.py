@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from spectrum_contracts.stochastic import (
-    cost_table,
-    saturation_channels,
-    uav_utility,
-    utility_table,
-)
+from spectrum_contracts.stochastic import cost_table, saturation_channels, utility_table
 
-from poisson_wrappers import poisson_pmf, poisson_tail
+from poisson_wrappers import poisson_pmf, poisson_tail, uav_utility
 
 
 def _tail_oracle(mean, k):

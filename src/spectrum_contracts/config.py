@@ -43,6 +43,9 @@ DEFAULT_EXTENT = 3000.0
 DEFAULT_CELL_SIZE = 5.0
 
 SWEEP_PARAMETERS = ("load", "height")
+# A range form needs no more text for a billion values than for ten; the
+# largest sweep in use has 33.
+MAX_SWEEP_POINTS = 100_000
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -94,28 +97,42 @@ class _Context:
 
     def fail(self, path: str, message: str) -> None:
         where = path or "config"
-        if path in self.marks:
-            where = f"{where} (line {self.marks[path]})"
+        # A path below a shared alias has no mark of its own; it takes the
+        # line of its longest marked prefix.
+        marked = path
+        while marked and marked not in self.marks:
+            marked = marked[: max(marked.rfind("."), marked.rfind("["), 0)]
+        if marked in self.marks:
+            where = f"{where} (line {self.marks[marked]})"
         raise ConfigError(f"{where}: {message}")
 
 
-def _collect_marks(node, path: str, marks: dict[str, int], enclosing=()) -> None:
-    if any(node is outer for outer in enclosing):
+def _collect_marks(node, path: str, marks: dict[str, int], inside: dict[int, bool]) -> None:
+    """Record the line of each key path, visiting every node once.
+
+    ``inside`` maps the id of each visited node to whether the walk is
+    still below it.  Aliases make one node reachable by many paths, so a
+    path that reaches a visited node records only that node's line.
+    """
+    if inside.get(id(node)):
         # An alias that re-enters a node on its own path: ``a: &x [*x]``.
         raise ConfigError(
             f"invalid YAML: line {node.start_mark.line + 1}: "
             f"recursive alias at {path}: it refers to a node that contains it"
         )
     marks.setdefault(path, node.start_mark.line + 1)
-    enclosing += (node,)
+    if id(node) in inside:
+        return
+    inside[id(node)] = True
     if isinstance(node, yaml.MappingNode):
         for key_node, value_node in node.value:
             key = str(key_node.value)
             child = f"{path}.{key}" if path else key
-            _collect_marks(value_node, child, marks, enclosing)
+            _collect_marks(value_node, child, marks, inside)
     elif isinstance(node, yaml.SequenceNode):
         for index, item in enumerate(node.value):
-            _collect_marks(item, f"{path}[{index}]", marks, enclosing)
+            _collect_marks(item, f"{path}[{index}]", marks, inside)
+    inside[id(node)] = False
 
 
 def _as_map(ctx: _Context, value, path: str, allowed: tuple[str, ...]) -> dict:
@@ -436,8 +453,10 @@ def _parse_sweep(ctx: _Context, data, path: str, has_geometry: bool) -> SweepSpe
         step = _number(ctx, block["step"], f"{path}.step")
         if step <= 0.0 or stop < start:
             ctx.fail(path, "range form needs step > 0 and stop >= start")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + k * step for k in range(n)]
+        steps = (stop - start) / step + 1e-9
+        if steps >= MAX_SWEEP_POINTS:
+            ctx.fail(path, f"range form gives more than {MAX_SWEEP_POINTS} values")
+        values = [start + k * step for k in range(int(steps) + 1)]
         # The canonical form lists the values, so each must read back.
         if values[-1] > hi:
             ctx.fail(path, f"range form reaches {values[-1]}, past the limit {hi}")
@@ -501,7 +520,7 @@ def loads_config(text: str) -> ScenarioConfig:
         data = None
         if node is not None:
             # Marks first: constructing flattens merge keys in the node.
-            _collect_marks(node, "", marks)
+            _collect_marks(node, "", marks, {})
             data = loader.construct_document(node)
     except yaml.YAMLError as exc:
         detail = str(exc)

@@ -6,9 +6,11 @@ relay through a mix of line-of-sight and obstructed paths; the mix is
 governed by the elevation angle, so coverage depends on height in a
 non-trivial way.  This module computes:
 
-* the line-of-sight probability and averaged pathloss models,
+* the line-of-sight probability and one pathloss function per link:
+  ``pathloss_uav`` for a relay, ``pathloss_mbs`` for the base station,
 * the SNR-based ownership partition of the window into per-transmitter
-  regions, evaluated on a regular grid of cell centers,
+  regions, evaluated on a regular grid of cell centers; it scores each
+  link through that link's pathloss function,
 * mean demand derived from region areas and user densities, which is
   what turns a physical deployment into a ladder of contract types.
 
@@ -141,19 +143,6 @@ class RegionGrid:
         if sum(self.areas) > total * (1.0 + 1e-12):
             raise ValueError("region areas exceed the analysis window")
 
-    @property
-    def cell_area(self) -> float:
-        return self.cell_size * self.cell_size
-
-    @property
-    def total_area(self) -> float:
-        """Area actually tiled by cells (<= the window square)."""
-        return self.owner.size * self.cell_area
-
-    @property
-    def mbs_area(self) -> float:
-        return int(np.count_nonzero(self.owner == MBS_OWNER)) * self.cell_area
-
 
 @dataclass(frozen=True)
 class DensityMap:
@@ -176,7 +165,6 @@ class DerivedTypes:
     """Mean demand per UAV with zero-area UAVs separated out."""
 
     lambdas: tuple[float, ...]
-    kept_uavs: tuple[int, ...]
     excluded_uavs: tuple[int, ...]
 
     def ladder(self) -> TypeLadder:
@@ -192,10 +180,7 @@ def p_los(theta, terrain: TerrainParams):
     theta_arr = np.asarray(theta, dtype=np.float64)
     if np.any(theta_arr < 0.0) or np.any(theta_arr > 90.0) or np.any(np.isnan(theta_arr)):
         raise ValueError("elevation angle must lie in [0, 90] degrees")
-    result = 1.0 / (1.0 + terrain.a * np.exp(-terrain.b * (theta_arr - terrain.a)))
-    if np.isscalar(theta) or theta_arr.ndim == 0:
-        return float(result)
-    return result
+    return 1.0 / (1.0 + terrain.a * np.exp(-terrain.b * (theta_arr - terrain.a)))
 
 
 def _free_space(d, frequency: float):
@@ -211,25 +196,24 @@ def pathloss_uav(theta, d, terrain: TerrainParams, radio: RadioParams):
     excess gap.
     """
     d_arr = np.asarray(d, dtype=np.float64)
-    if np.any(d_arr <= 0.0) or np.any(np.isnan(d_arr)):
+    if not np.all(d_arr > 0.0):
         raise ValueError("distance must be positive")
-    prob = np.asarray(p_los(theta, terrain))
+    prob = p_los(theta, terrain)
     free = _free_space(d_arr, radio.frequency)
-    loss = prob * (free + terrain.eta_los) + (1.0 - prob) * (free + terrain.eta_nlos)
-    if np.isscalar(d) and np.isscalar(theta):
-        return float(loss)
-    return loss
+    return prob * (free + terrain.eta_los) + (1.0 - prob) * (free + terrain.eta_nlos)
 
 
 def pathloss_mbs(d, terrain: TerrainParams, radio: RadioParams):
-    """Pathloss in dB from the base station: obstructed path only."""
+    """Pathloss in dB from the base station: obstructed path only.
+
+    A zero distance gives ``-inf``, so a base station on a cell center
+    has an infinite SNR there.
+    """
     d_arr = np.asarray(d, dtype=np.float64)
-    if np.any(d_arr <= 0.0) or np.any(np.isnan(d_arr)):
-        raise ValueError("distance must be positive")
-    loss = _free_space(d_arr, radio.frequency) + terrain.eta_nlos
-    if np.isscalar(d):
-        return float(loss)
-    return loss
+    if not np.all(d_arr >= 0.0):
+        raise ValueError("distance must be non-negative")
+    with np.errstate(divide="ignore"):
+        return _free_space(d_arr, radio.frequency) + terrain.eta_nlos
 
 
 def snr(transmit_power, pathloss, noise):
@@ -311,9 +295,7 @@ def partition_regions(
         return snr(radio.p_uav, pathloss_uav(theta, d, terrain, radio), radio.noise)
 
     def mbs_snr(dist):
-        with np.errstate(divide="ignore"):
-            loss = _free_space(dist, radio.frequency) + terrain.eta_nlos
-        return snr(radio.p_mbs, loss, radio.noise)
+        return snr(radio.p_mbs, pathloss_mbs(dist, terrain, radio), radio.noise)
 
     steps = math.ceil((2.0 * math.sqrt(2.0) * extent + cell_size) / cell_size)
     radii = np.arange(steps + 1) * cell_size
@@ -361,17 +343,11 @@ def derive_types(grid: RegionGrid, density: DensityMap) -> DerivedTypes:
             f"{len(density.rho)} densities for {len(grid.areas)} UAV regions"
         )
     lambdas: list[float] = []
-    kept: list[int] = []
     excluded: list[int] = []
     for n, (area, rho) in enumerate(zip(grid.areas, density.rho)):
         lam = area * rho
         if lam > 0.0:
             lambdas.append(lam)
-            kept.append(n)
         else:
             excluded.append(n)
-    return DerivedTypes(
-        lambdas=tuple(lambdas),
-        kept_uavs=tuple(kept),
-        excluded_uavs=tuple(excluded),
-    )
+    return DerivedTypes(lambdas=tuple(lambdas), excluded_uavs=tuple(excluded))

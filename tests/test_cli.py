@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -191,6 +192,43 @@ class TestConfigParsing:
         text = MINIMAL.replace("[1.0, 2.0, 3.0]", "&v [1.0, 2.0, 3.0]")
         config = loads_config(text + "sweep: {parameter: load, values: *v}\n")
         assert config.sweep.values == config.ladder.lambdas
+
+    def test_chained_aliases_load_in_linear_time(self):
+        # Each link doubles the paths down to x0: 2**30 of them here.
+        text = "x0: &x0 [1]\n" + "".join(
+            f"x{i}: &x{i} [*x{i - 1}, *x{i - 1}]\n" for i in range(1, 31)
+        )
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"^x0 \(line 1\): unknown key"):
+            loads_config(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_an_error_below_a_shared_alias_names_the_anchored_node(self):
+        # The second path through the node has no marks below it, so the
+        # error takes the line of the longest marked prefix.
+        text = """\
+geometry:
+  placement:
+    height: 400.0
+    uav_positions: [[100.0, 0.0], [-100.0, 0.0]]
+  densities_per_km2: &d
+    - 1.0e4
+    - 2.0e5
+mbs: {total_channels: 10, load: 4.0}
+sweep:
+  parameter: height
+  values: *d
+"""
+        with pytest.raises(ConfigError, match=r"^sweep.values\[1\] \(line 5\): must lie in"):
+            loads_config(text)
+
+    def test_sweep_range_form_is_bounded(self):
+        text = MINIMAL + "sweep: {parameter: load, start: 1.0, stop: %s, step: 1.0}\n"
+        assert len(loads_config(text % "100000.0").sweep.values) == 100_000
+        with pytest.raises(
+            ConfigError, match=r"^sweep \(line 6\): range form gives more than 100000 values"
+        ):
+            loads_config(text % "100001.0")
 
     def test_python_tags_are_refused(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^invalid YAML: line 2:"):
@@ -770,6 +808,17 @@ class TestCommandLine:
             f"config error: invalid YAML: line 1: recursive alias at {where}:"
         )
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("step", ["1.0e-9", "1.0e-310"])
+    def test_oversized_sweep_range_exits_one(self, tmp_path, capsys, step):
+        # About 1e12 values, or a count that overflows to infinity.
+        text = MINIMAL + f"sweep: {{parameter: load, start: 1.0, stop: 1000.0, step: {step}}}\n"
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", self._write(tmp_path, text), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_config_exits_three(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "absent.yaml")])

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,8 +134,23 @@ class TestPathloss:
     def test_nonpositive_distance_is_rejected(self, d):
         with pytest.raises(ValueError, match="positive"):
             pathloss_uav(30.0, d, URBAN, RADIO)
-        with pytest.raises(ValueError, match="positive"):
+
+    @pytest.mark.parametrize("d", [-2.0, float("nan")])
+    def test_negative_base_station_distance_is_rejected(self, d):
+        with pytest.raises(ValueError, match="distance"):
             pathloss_mbs(d, URBAN, RADIO)
+        with pytest.raises(ValueError, match="distance"):
+            pathloss_mbs(np.array([1000.0, d]), URBAN, RADIO)
+
+    def test_zero_base_station_distance_gives_minus_infinity(self):
+        # The partition scores a base station on a cell center through
+        # this function: the cell gets an infinite SNR, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pathloss_mbs(0.0, URBAN, RADIO) == -math.inf
+            losses = pathloss_mbs(np.array([0.0, 1000.0]), URBAN, RADIO)
+        assert losses[0] == -math.inf
+        assert losses[1] == pathloss_mbs(1000.0, URBAN, RADIO)
 
 
 class TestSnr:
@@ -226,7 +242,7 @@ def test_no_relay_owns_a_cell_from_the_exclusion_height_up(case):
     )
     grid = partition_regions(placement, terrain, radio, extent, cell_size)
     assert grid.areas == (0.0,) * len(placement.uav_positions)
-    assert grid.mbs_area == grid.total_area
+    assert np.all(grid.owner == MBS_OWNER)
 
 
 class TestPartitionRegions:
@@ -319,7 +335,9 @@ class TestPartitionRegions:
         assert counted == grid.owner.size
         # With an integer-valued cell area every product and sum below is
         # exact in floating point, so this holds with no tolerance.
-        assert grid.mbs_area + sum(grid.areas) == grid.total_area
+        cell_area = grid.cell_size * grid.cell_size
+        mbs_area = int(np.count_nonzero(grid.owner == MBS_OWNER)) * cell_area
+        assert mbs_area + sum(grid.areas) == grid.owner.size * cell_area
 
     def test_refinement_moves_areas_by_under_one_percent(self):
         place = Placement(uav_positions=symmetric_ring(1000.0), height=400.0)
@@ -353,7 +371,6 @@ class TestDeriveTypes:
     def test_half_square_kilometer_at_twelve_per(self):
         derived = derive_types(_grid_with_areas([5.0e5]), DensityMap((12e-6,)))
         assert derived.lambdas == (6.0,)
-        assert derived.kept_uavs == (0,)
         assert derived.excluded_uavs == ()
 
     def test_equal_areas_and_densities_merge_into_one_type(self):
@@ -369,8 +386,7 @@ class TestDeriveTypes:
             _grid_with_areas([3.0e5, 0.0]), DensityMap((10e-6, 10e-6))
         )
         assert derived.excluded_uavs == (1,)
-        assert derived.kept_uavs == (0,)
-        assert len(derived.lambdas) == 1
+        assert derived.lambdas == (3.0e5 * 10e-6,)
 
     def test_density_count_must_match_regions(self):
         with pytest.raises(ValueError, match="3 densities for 2 UAV regions"):

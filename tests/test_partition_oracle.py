@@ -227,5 +227,7 @@ def test_uav_order_permutes_the_owner_labels(case, data):
 @given(origin_scenarios())
 def test_areas_tile_the_window(case):
     grid = partition_regions(*case)
-    tiled = math.fsum(grid.areas) + grid.mbs_area
-    assert tiled == pytest.approx(grid.total_area, rel=1e-12, abs=0.0)
+    cell_area = grid.cell_size * grid.cell_size
+    mbs_area = int(np.count_nonzero(grid.owner == MBS_OWNER)) * cell_area
+    tiled = math.fsum(grid.areas) + mbs_area
+    assert tiled == pytest.approx(grid.owner.size * cell_area, rel=1e-12, abs=0.0)

@@ -70,12 +70,14 @@ TIE_EPS = 1e-12
 
 DEFAULT_BRUTE_FORCE_CAP = 10_000_000
 
-# Largest DP working set one ``build_tables`` call will allocate, in bytes
-# (512 MiB).  With the saturation cap the largest ladders in use need about
-# 25 MB (T=100, M=2000, K=93), so only uncapped fills of large ladders come
-# near it; the capped run of such a ladder gives the same objective value
-# up to rounding-level amounts (see ``solve_loads``).  The limit is per
-# fill: a pooled height sweep holds one fill per worker at once.
+# Largest DP working set one ``build_tables`` call will allocate, and the
+# most one ``solve_loads`` call holds in one fill plus its cost rows, in
+# bytes (512 MiB).  With the saturation cap the largest ladders in use need
+# about 25 MB (T=100, M=2000, K=93), so only uncapped fills of large
+# ladders or sweeps of very many loads at large M come near it; the capped
+# run of such a ladder gives the same objective value up to rounding-level
+# amounts (see ``solve_loads``).  The limit is per call: a pooled height
+# sweep holds one fill per worker at once.
 MAX_TABLE_BYTES = 512 * 2**20
 
 
@@ -334,7 +336,11 @@ def solve_loads(
     """Best feasible menu at each load for each objective, by exact search.
 
     Builds the instance's inputs once: the cap K, one utility table per
-    type up to K and one cost row per load.  Each objective in turn gets
+    type up to K and one cost row per load.  Before any of them is
+    built, refuses with a ``ValueError`` a run whose cost rows
+    (``len(loads) * (M + 1) * 8`` bytes) and one fill
+    (``dp_table_bytes``) together exceed ``MAX_TABLE_BYTES``, since
+    every row is held through every fill.  Each objective in turn gets
     one fill across all budgets W = 0..M, which serves every load too: a
     column-w extraction equals a dedicated width-w fill, since
     over-budget states are impossible.  Each load's cost row, netted
@@ -352,9 +358,18 @@ def solve_loads(
     (1, 5, 5), the uncapped one (1, 4, 4), their revenues 1.8e-12 apart.
     """
     M = total_channels
+    loads = [MbsLoad(M, load).load for load in loads]
     K = saturation_cap(ladder, M) if use_k_cap else M
+    fill = dp_table_bytes(ladder.size, K, M)
+    rows = len(loads) * (M + 1) * 8
+    if fill + rows > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"DP tables for T={ladder.size} types, K={K}, M={M} channels need "
+            f"{fill} bytes and the cost rows of {len(loads)} loads {rows} bytes, "
+            f"{fill + rows} bytes together, over the limit of {MAX_TABLE_BYTES} bytes"
+        )
     utilities = [utility_table(lam, K) for lam in ladder.lambdas]
-    cost_rows = [cost_table(M, MbsLoad(M, load).load) for load in loads]
+    cost_rows = [cost_table(M, load) for load in loads]
     heads = sum(ladder.counts)
     for objective in objectives:
         tables = build_tables(ladder, _gain_rows(ladder, objective, utilities), M)

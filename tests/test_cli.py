@@ -873,6 +873,25 @@ class TestCommandLine:
         assert f"need {needed} bytes" in err
         assert not list(out.glob("*.csv"))
 
+    def test_oversized_load_sweep_exits_one_before_any_cost_row(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 1,000 cost rows of 100,001 entries would hold 800 MB.
+        built = []
+        monkeypatch.setattr(solver, "cost_table", lambda *args: built.append(args))
+        text = MINIMAL.replace("total_channels: 10", "total_channels: 100000") + (
+            "sweep: {parameter: load, start: 1.0, stop: 1000.0, step: 1.0}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", self._write(tmp_path, text), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        rows = 1000 * 100_001 * 8
+        assert f"cost rows of 1000 loads {rows} bytes" in err
+        assert "M=100000 channels" in err
+        assert "Traceback" not in err
+        assert not built
+        assert not list(out.glob("*.csv"))
+
     def test_no_kcap_flag_is_a_usage_error(self, tmp_path, capsys):
         # The config key solver.use_k_cap is the cap's only switch.
         cfg = self._write(tmp_path, MINIMAL)

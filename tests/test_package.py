@@ -1,15 +1,21 @@
 """Tests for the package root: its exported names, the README examples,
-the package names the benchmark relies on, the import layering and dead
-names under src/."""
+the package names the benchmark relies on, the benchmark's cost rows on
+both sides of the lane cutoff, the import layering and dead names under
+src/."""
 
 import ast
 import importlib
+import math
 import re
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
+
 import spectrum_contracts
 from spectrum_contracts.config import loads_config
+from spectrum_contracts.runner import sample_instance
+from spectrum_contracts.stochastic import _LOCKSTEP_LANES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -114,6 +120,44 @@ def test_benchmark_tracer_names_exist():
         module, func = name.split(".")
         bound = hasattr(importlib.import_module(f"spectrum_contracts.{module}"), func)
         assert bound == (name not in TRACED_BUT_REMOVED), name
+
+
+def test_benchmark_times_cost_rows_on_both_sides_of_the_lane_cutoff():
+    # cost_table sums a row's upper tails per tail below the cutoff and
+    # in lock-step from it on, chosen by the row's lanes (channels above
+    # the load); only a benchmark with rows on both sides justifies that.
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    names = ("SOLVE_SHAPES", "HEIGHT_SWEEP_PRESET", "ORACLE_DEFAULT_SEED")
+    consts = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in names
+    }
+    (solve_scale,) = (
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_solve_scale"
+    )
+    (jitter,) = (
+        node for node in ast.walk(solve_scale)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "uniform"
+    )
+    _, highest = (ast.literal_eval(arg) for arg in jitter.args)
+
+    def lanes(total, load):
+        return total - min(math.floor(load), total)
+
+    for _, total, _, ratio in consts["SOLVE_SHAPES"]:
+        assert lanes(total, ratio * total * highest) >= _LOCKSTEP_LANES, total
+    mbs = loads_config(consts["HEIGHT_SWEEP_PRESET"]).mbs
+    assert (mbs.total_channels, mbs.load) == (200, 150.0)
+    assert lanes(mbs.total_channels, mbs.load) < _LOCKSTEP_LANES
+    for index in range(200):
+        rng = np.random.default_rng(consts["ORACLE_DEFAULT_SEED"] + index)
+        mbs = sample_instance(rng)[1]
+        assert mbs.total_channels <= 12
+        assert lanes(mbs.total_channels, mbs.load) < _LOCKSTEP_LANES
 
 
 def test_all_lists_exactly_the_bound_names():

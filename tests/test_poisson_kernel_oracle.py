@@ -306,22 +306,40 @@ def test_utility_table_matches_reference(mean, data):
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(
-    load=st.one_of(
-        st.floats(min_value=1e-3, max_value=60.0, exclude_min=True),
-        st.integers(min_value=1, max_value=60).map(float),
-        st.floats(min_value=695.0, max_value=760.0),
-    ),
-    total=st.integers(min_value=1, max_value=400),
+    row=st.one_of(
+        st.tuples(
+            st.one_of(
+                st.floats(min_value=1e-3, max_value=60.0, exclude_min=True),
+                st.integers(min_value=1, max_value=60).map(float),
+                st.floats(min_value=695.0, max_value=760.0),
+            ),
+            st.integers(min_value=1, max_value=400),
+        ),
+        # Log-space loads with up to 300 channels above them, so their
+        # upper tails are summed too.
+        st.floats(min_value=695.0, max_value=760.0).flatmap(
+            lambda load: st.tuples(
+                st.just(load),
+                st.integers(math.floor(load) + 1, math.floor(load) + 300),
+            )
+        ),
+    )
 )
-@example(load=15.0, total=500)  # tails underflow through the denormals
-@example(load=10.0, total=2500)
-@example(load=900.0, total=1000)
-@example(load=700.0, total=800)
-def test_cost_table_matches_reference(load, total):
+@example(row=(15.0, 500))  # tails underflow through the denormals
+@example(row=(10.0, 2500))
+@example(row=(900.0, 1000))
+@example(row=(700.0, 800))
+# 63, 64 and 65 channels above the load: both sides of the lock-step cutoff.
+@example(row=(137.0, 200))
+@example(row=(136.0, 200))
+@example(row=(135.0, 200))
+@example(row=(1500.0, 2000))  # a wide log-space row
+def test_cost_table_matches_reference(row):
+    load, total = row
     table = cost_table(total, load)
     expected = reference_cost_table(total, load)
     assert table.dtype == expected.dtype
-    assert table.tolist() == expected.tolist()
+    assert table.tobytes() == expected.tobytes(), row
 
 
 @settings(max_examples=30, deadline=None)

@@ -270,6 +270,26 @@ class TestTableBudget:
         for part in ("T=3", "K=5", "M=9", f"{needed} bytes"):
             assert part in message
 
+    def test_load_sweep_counts_its_cost_rows_with_the_fill(self, monkeypatch):
+        # Every load's cost row is held through every fill, so the rows
+        # and one fill share the limit: exactly their sum is accepted,
+        # and one byte less is refused before any row is built.
+        ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
+        loads = (2.0, 5.0, 9.5)
+        K = saturation_cap(ladder, 9)
+        needed = dp_table_bytes(3, K, 9) + len(loads) * 10 * 8
+        monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed)
+        assert len(list(solve_loads(ladder, 9, loads, Objective))) == 6
+        monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed - 1)
+        built = []
+        monkeypatch.setattr(solver, "cost_table", lambda *args: built.append(args))
+        with pytest.raises(ValueError) as info:
+            next(solve_loads(ladder, 9, loads, Objective))
+        message = str(info.value)
+        for part in ("3 loads", "M=9", f"{needed} bytes together"):
+            assert part in message
+        assert not built
+
     def test_refusal_comes_before_any_allocation(self):
         # Unrefused, this fill would hold about 0.9 GB.
         ladder = TypeLadder(tuple(float(v) for v in range(1, 101)), (1,) * 100)

@@ -44,7 +44,6 @@ from itertools import count, islice
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "utility_table",
@@ -61,9 +60,12 @@ _UNITS = 1 << 1074
 
 # Rows with at least this many channels above the load sum their upper
 # tails in lock-step (``_lockstep_sums``); narrower rows loop per tail.
-# Measured crossover (upper tails alone, means 5 to 450, 2-CPU x86 box):
-# lock-step ran at 0.24-0.28x the loop's speed at 7 lanes, 0.67-0.76x at
-# 32, 0.94-1.16x at 50, 1.09-1.84x at 64 and 2.1-2.6x at 100.
+# Measured crossover (upper tails alone, 2-CPU x86 box): at means 5 to
+# 450 lock-step ran at 0.23-0.27x the loop's speed at 7 lanes, 0.85-0.99x
+# at 40, 0.71-1.26x at 50, 1.00-1.37x at 56, 1.17-1.46x at 64 and
+# 1.37-1.89x at 100; in log space (means 705 to 1,500) at 0.21-0.24x,
+# 1.06-1.25x, 1.26-1.35x, 1.30-1.58x, 1.41-1.85x and 2.00-2.43x.  64 is
+# the smallest width measured at which every mean gained.
 _LOCKSTEP_LANES = 64
 
 # A lock-step chunk runs at most this many steps between stop tests, and
@@ -143,25 +145,20 @@ def _upper_sum(mean: float, k: int, term: float) -> float:
 def _lockstep_sums(mean: float, first: int, lanes: int) -> np.ndarray:
     """``_upper_sum`` for k = first .. first + lanes - 1, every k in step.
 
-    Each k is a lane, and every live lane takes ``_upper_sum``'s step
-    (the same float operations in the same order) at once, in numpy.
-    A chunk of steps runs without stop tests and keeps each lane's
-    terms and totals; afterwards each lane's result is read at its
-    first state that fails ``_upper_sum``'s loop condition, so steps a
-    lane takes past its stop change nothing.  Finished lanes are dropped
-    from the top, where the tails fall fastest.  Below the log-space
-    switch lane k's recurrence is ``_terms``' own, so its term s steps
-    on is term(k + s) and one shared sequence serves every lane; in log
-    space each lane continues from its own term.
+    Each k is a lane that starts from its term from ``_terms``, and every
+    live lane takes ``_upper_sum``'s step (the same float operations in
+    the same order) at once, in numpy.  A chunk of steps runs without
+    stop tests and keeps each lane's terms and totals; afterwards each
+    lane's result is read at its first state that fails ``_upper_sum``'s
+    loop condition, so steps a lane takes past its stop change nothing.
+    Finished lanes are dropped from the top, where the tails fall fastest.
     """
-    terms = _terms(mean, first)
-    seq = np.fromiter(islice(terms, lanes), np.float64, lanes)
+    start = np.fromiter(islice(_terms(mean, first), lanes), np.float64, lanes)
     sums = np.zeros(lanes)
     # A lane whose first term is 0.0 stops at its first state with sum
     # 0.0, so the lanes above the last nonzero one never run.
-    running = np.flatnonzero(seq)
+    running = np.flatnonzero(start)
     live = int(running[-1]) + 1 if running.size else 0
-    shared = mean <= _LOG_SPACE_MEAN
     # Lane j, s steps on, sits at i = first + j + s, and i < mean + 2
     # holds exactly when j + s < near.
     near = math.ceil(mean + 2) - first
@@ -177,7 +174,7 @@ def _lockstep_sums(mean: float, first: int, lanes: int) -> np.ndarray:
     at = np.empty((2, live), dtype=np.intp)
     flags = np.zeros((2, live), dtype=bool)
     floats = np.zeros((3, live))
-    total = term = seq[:live]
+    total = term = start[:live]
     s = 0
     while live:
         comp, y, picked = floats[:, :live]
@@ -185,25 +182,17 @@ def _lockstep_sums(mean: float, first: int, lanes: int) -> np.ndarray:
         stop, flat = at[:, :live]
         totals = state[0, : (steps + 1) * live].reshape(steps + 1, live)
         totals[0] = total
-        if shared:
-            if seq.size < s + steps + live:
-                more = s + steps + live - seq.size
-                extra = np.fromiter(islice(terms, more), np.float64, more)
-                seq = np.concatenate((seq, extra))
-            # Row r is lane j's term s + r steps on: term(first + j + s + r).
-            history = as_strided(seq[s:], (steps + 1, live), (8, 8), writeable=False)
-        else:
-            # Row r + 1 is the step's factor mean / i; multiplying the rows
-            # up in order gives each lane's terms.
-            history = state[1, : (steps + 1) * live].reshape(steps + 1, live)
-            history[0] = term
-            np.add.outer(
-                np.arange(s + 1, s + steps + 1, dtype=np.float64),
-                np.arange(first, first + live, dtype=np.float64),
-                out=history[1:],
-            )
-            np.divide(mean, history[1:], out=history[1:])
-            np.multiply.accumulate(history, axis=0, out=history)
+        # Row r + 1 is the step's factor mean / i; multiplying the rows up
+        # in order gives each lane's terms, as ``term *= mean / i`` does.
+        history = state[1, : (steps + 1) * live].reshape(steps + 1, live)
+        history[0] = term
+        np.add.outer(
+            np.arange(s + 1, s + steps + 1, dtype=np.float64),
+            np.arange(first, first + live, dtype=np.float64),
+            out=history[1:],
+        )
+        np.divide(mean, history[1:], out=history[1:])
+        np.multiply.accumulate(history, axis=0, out=history)
         for prev, now, step_term in zip(totals, totals[1:], history[1:]):
             np.subtract(step_term, comp, out=y)
             np.add(prev, y, out=now)

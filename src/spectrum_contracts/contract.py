@@ -17,9 +17,9 @@ There is one evaluator per quantity, and none sums a utility or a cost.
 ``revenue`` and ``social_welfare`` take the base station's cost of the
 channels sold, entry ``total_weight`` of ``stochastic.cost_table``;
 ``optimal_prices``, ``social_welfare`` and ``operator_surpluses`` read
-per-type ``stochastic.utility_table`` rows, and ``gain`` takes the
-utilities it is made of as a callable, so the same formula scores one
-channel count or a whole row of them.
+per-type utilities too: ``gain`` takes one entry per type, a float for
+one channel count or a ``stochastic.utility_table`` row for many, so the
+same formula scores one count or a whole row of them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "PriceSchedule",
     "Contract",
     "MbsLoad",
-    "ladder_from_lambdas",
     "optimal_prices",
     "revenue",
     "gain",
@@ -164,37 +163,6 @@ class MbsLoad:
             raise ValueError(f"load must be positive and finite, got {self.load}")
 
 
-def ladder_from_lambdas(lambdas, counts=None) -> TypeLadder:
-    """Build a ladder from raw type means, merging duplicates by count.
-
-    Args:
-        lambdas: Iterable of type means, any order, duplicates allowed.
-        counts: Optional per-mean counts (default 1 each).
-
-    Returns:
-        A TypeLadder with strictly ascending means and summed counts.
-
-    Raises:
-        ValueError: If a mean is not positive, or no mean is given.
-    """
-    lambdas = [float(v) for v in lambdas]
-    if counts is None:
-        counts = [1] * len(lambdas)
-    else:
-        counts = [int(c) for c in counts]
-    if len(lambdas) != len(counts):
-        raise ValueError(f"{len(lambdas)} means but {len(counts)} counts")
-    merged: dict[float, int] = {}
-    for lam, count in zip(lambdas, counts):
-        if lam <= 0.0:
-            raise ValueError(f"type mean must be positive, got {lam}")
-        merged[lam] = merged.get(lam, 0) + count
-    if not merged:
-        raise ValueError("no positive type means to build a ladder from")
-    ordered = sorted(merged)
-    return TypeLadder(tuple(ordered), tuple(merged[lam] for lam in ordered))
-
-
 def _check_dimensions(ladder: TypeLadder, length: int, what: str) -> None:
     if length != ladder.size:
         raise ValueError(
@@ -269,7 +237,7 @@ def revenue(ladder: TypeLadder, contract: Contract, cost: float) -> float:
     return payments - cost
 
 
-def gain(ladder: TypeLadder, t: int, utility):
+def gain(ladder: TypeLadder, t: int, utilities):
     """Per-type decoupled revenue contribution of a channel count for type t.
 
     G_t(w) = C_t * U(lam_t, w) - D_t * U(lam_{t+1}, w), where C_t counts
@@ -281,13 +249,14 @@ def gain(ladder: TypeLadder, t: int, utility):
     Args:
         ladder: The operator types.
         t: Type index, 0-based.
-        utility: Callable mapping a type index s to U(lam_s, w), either
-            for one w (a float) or for a range of w (a numpy array, giving
-            G_t elementwise over that range with the same arithmetic).
+        utilities: Per-type utilities; ``utilities[s]`` is U(lam_s, w),
+            either for one w (a float) or for a range of w (a numpy array,
+            such as a ``utility_table`` row, giving G_t elementwise over
+            that range with the same arithmetic).
 
     Returns:
-        G_t(w), as a float or an array matching what ``utility`` returns;
-        zero where w is zero.
+        G_t(w), as a float or an array matching the entries of
+        ``utilities``; zero where w is zero.
 
     Raises:
         ValueError: If t is out of range.
@@ -296,9 +265,9 @@ def gain(ladder: TypeLadder, t: int, utility):
         raise ValueError(f"type index {t} out of range for {ladder.size} types")
     above = sum(ladder.counts[t:])
     strictly_above = above - ladder.counts[t]
-    value = above * utility(t)
+    value = above * utilities[t]
     if strictly_above > 0:
-        value = value - strictly_above * utility(t + 1)
+        value = value - strictly_above * utilities[t + 1]
     return value
 
 

@@ -16,19 +16,21 @@ non-trivial way.  This module computes:
 
 Distances are meters, angles are degrees, powers are dB-scale (dBm for
 absolute powers), frequencies Hz.  The base station antenna sits at
-ground level at its planar position, so its pathloss uses horizontal
-distance; a relay at height H above a point at horizontal distance r is
-seen under elevation atan(H / r) at slant range sqrt(r^2 + H^2).
+ground level at the origin of the window, so its pathloss uses the
+horizontal distance from there; a relay at height H above a point at
+horizontal distance r is seen under elevation atan(H / r) at slant
+range sqrt(r^2 + H^2).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contract import TypeLadder, ladder_from_lambdas
+from .contract import TypeLadder
 
 SPEED_OF_LIGHT = 2.99792458e8
 
@@ -97,20 +99,19 @@ class RadioParams:
 
 @dataclass(frozen=True)
 class Placement:
-    """Planar transmitter layout with one shared relay height."""
+    """Relay positions in the plane, with one shared relay height.
+
+    The base station sits at the origin.
+    """
 
     uav_positions: tuple[tuple[float, float], ...]
     height: float
-    mbs_position: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         positions = tuple(
             (float(x), float(y)) for x, y in self.uav_positions
         )
         object.__setattr__(self, "uav_positions", positions)
-        object.__setattr__(
-            self, "mbs_position", tuple(float(v) for v in self.mbs_position)
-        )
         if not (math.isfinite(self.height) and self.height > 0.0):
             raise ValueError(f"height must be positive, got {self.height}")
         for x, y in positions:
@@ -169,7 +170,9 @@ class DerivedTypes:
 
     def ladder(self) -> TypeLadder:
         """Ascending type ladder; equal demands merge into one type."""
-        return ladder_from_lambdas(self.lambdas)
+        merged = Counter(self.lambdas)
+        ordered = sorted(merged)
+        return TypeLadder(tuple(ordered), tuple(merged[lam] for lam in ordered))
 
 
 def p_los(theta, terrain: TerrainParams):
@@ -232,8 +235,8 @@ def partition_regions(
     placement: Placement,
     terrain: TerrainParams,
     radio: RadioParams,
-    extent: float = 3000.0,
-    cell_size: float = 5.0,
+    extent: float,
+    cell_size: float,
 ) -> RegionGrid:
     """Assign every grid cell to its best-SNR transmitter.
 
@@ -287,7 +290,6 @@ def partition_regions(
     centers = _cell_centers(extent, cell_size)
     owner = np.full((centers.size, centers.size), MBS_OWNER, dtype=np.int64)
     height = placement.height
-    mx, my = placement.mbs_position
 
     def uav_snr(r):
         d = np.hypot(r, height)
@@ -302,7 +304,7 @@ def partition_regions(
     inner = uav_snr(radii[:-1])
     boxes = []
     for n, (ux, uy) in enumerate(placement.uav_positions):
-        mbs_floor = mbs_snr(math.hypot(ux - mx, uy - my) + radii[1:])
+        mbs_floor = mbs_snr(math.hypot(ux, uy) + radii[1:])
         kept = np.flatnonzero(inner > mbs_floor - _BOUND_SLACK_DB)
         if kept.size:
             reach = radii[kept[-1] + 1]
@@ -315,7 +317,7 @@ def partition_regions(
         top, left = np.min([lo for *_, lo, _ in boxes], axis=0)
         bottom, right = np.max([hi for *_, hi in boxes], axis=0)
         xs, ys = np.meshgrid(centers[top:bottom], centers[left:right], indexing="ij")
-        best = mbs_snr(np.hypot(xs - mx, ys - my))
+        best = mbs_snr(np.hypot(xs, ys))
         window = owner[top:bottom, left:right]
         for n, ux, uy, (i0, j0), (i1, j1) in boxes:
             xs, ys = np.meshgrid(centers[i0:i1], centers[j0:j1], indexing="ij")

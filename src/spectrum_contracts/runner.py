@@ -95,7 +95,6 @@ class OracleFailure:
 
 @dataclass(frozen=True)
 class OracleReport:
-    instances: int
     failures: tuple[OracleFailure, ...]
     lines: tuple[str, ...]
     files: tuple[str, ...]
@@ -467,7 +466,6 @@ def run_oracle_check(
         )
         files.append(_write(out, "oracle_report.csv", table))
     return OracleReport(
-        instances=instances,
         failures=tuple(failures),
         lines=tuple(lines),
         files=tuple(files),

@@ -72,12 +72,15 @@ DEFAULT_BRUTE_FORCE_CAP = 10_000_000
 
 # Largest DP working set one ``build_tables`` call will allocate, and the
 # most one ``solve_loads`` call holds in one fill plus its cost rows, in
-# bytes (512 MiB).  With the saturation cap the largest ladders in use need
-# about 25 MB (T=100, M=2000, K=93), so only uncapped fills of large
-# ladders or sweeps of very many loads at large M come near it; the capped
-# run of such a ladder gives the same objective value up to rounding-level
-# amounts (see ``solve_loads``).  The limit is per call: a pooled height
-# sweep holds one fill per worker at once.
+# bytes (512 MiB).  With the saturation cap the largest fill in use,
+# ``dp_table_bytes`` of the largest benchmark ladder (T=100, M=2000,
+# largest mean 10, so K=40), is 9.55 MB, about 1/56 of the limit; the
+# ladder with the widest cap (T=20, M=1000, largest mean 100, K=179)
+# needs 6.5 MB.  So only uncapped fills of large ladders or sweeps of very
+# many loads at large M come near it; the capped run of such a ladder
+# gives the same objective value up to rounding-level amounts (see
+# ``solve_loads``).  The limit is per call: a pooled height sweep holds
+# one fill per worker at once.
 MAX_TABLE_BYTES = 512 * 2**20
 
 
@@ -166,9 +169,7 @@ def _gain_rows(
     count, so solver values and evaluations agree bit for bit.
     """
     if objective is Objective.MBS_REVENUE:
-        rows = [
-            gain(ladder, t, utilities.__getitem__) for t in range(ladder.size)
-        ]
+        rows = [gain(ladder, t, utilities) for t in range(ladder.size)]
     else:
         rows = [count * table for count, table in zip(ladder.counts, utilities)]
     return np.array(rows, dtype=np.float64)
@@ -303,18 +304,16 @@ def _backtrack(
     return QualityAssignment(tuple(w_vec))
 
 
-def saturation_cap(
-    ladder: TypeLadder, total_channels: int, tol: float = 1e-12
-) -> int:
-    """Per-type cap: where every type's utility has flattened out, at most M.
+def saturation_cap(ladder: TypeLadder, total_channels: int) -> int:
+    """Per-type cap: the busiest type's saturation point, at most M.
 
-    Beyond the busiest type's saturation point it gains less than ``tol``
-    per extra channel, so larger assignments move values by rounding-level
-    amounts only (see ``solve_loads``); no type can take more than the M
-    channels there are either.  Equals min(M, saturation_channels(max
-    lambda, tol)) and scans at most M tails.
+    Beyond it every type gains less than 1e-12 per extra channel, so
+    larger assignments move values by rounding-level amounts only, though
+    those can still change a pick (see ``solve_loads``); no type can take
+    more than the M channels there are either.  Equals
+    ``saturation_channels(max lambda, M)``, which scans at most M tails.
     """
-    return saturation_channels(max(ladder.lambdas), tol, limit=total_channels)
+    return saturation_channels(max(ladder.lambdas), total_channels)
 
 
 def _scan_preferred(net: np.ndarray, tie: TieBreak) -> int:

@@ -12,13 +12,13 @@ Every probability mass ``term(k) = P(X = k)`` comes from one generator,
 formed, or, for means large enough to underflow ``exp(-lam)``, from log
 space, each term on its own.
 
-Tail probabilities come from ``_tails``, one forward pass over those
-terms that carries the sum of the terms below k. Up to the mean the tail
-is one minus that running sum; above the mean it is summed upward from
-``term(k)`` to convergence, which keeps it strictly positive far into
-the tail. The running sum is compensated, or, in log space, kept
-exactly, as an integer count of ``2**-1074`` (every finite float is
-one), and rounded once per tail.
+The tails P(X >= k) for k = 1, 2, ... come from ``_tails``, one forward
+pass over those terms from k = 0 that carries the sum of the terms below
+k. Up to the mean the tail is one minus that running sum; above the mean
+it is summed upward from ``term(k)`` to convergence, which keeps it
+strictly positive far into the tail. The running sum is compensated,
+or, in log space, kept exactly, as an integer count of ``2**-1074``
+(every finite float is one), and rounded once per tail.
 
 ``cost_table`` sums the same tails from the top down, again exactly, so
 each entry is the correctly rounded suffix sum at O(1) extra cost per
@@ -73,6 +73,9 @@ _LOCKSTEP_LANES = 64
 # lanes, if that is more).
 _CHUNK_STEPS = 32
 _CHUNK_BYTES = 1 << 20
+
+# A type saturates at the first count whose tail drops below this.
+_SATURATION_TAIL = 1e-12
 
 
 def _check_mean(mean: float) -> float:
@@ -228,32 +231,29 @@ def _lockstep_sums(mean: float, first: int, lanes: int) -> np.ndarray:
     return sums
 
 
-def _tails(mean: float, start: int) -> Iterator[float]:
-    """P(X >= k) for k = start, start + 1, ... in one forward pass.
+def _tails(mean: float) -> Iterator[float]:
+    """P(X >= k) for k = 1, 2, ... in one forward pass from k = 0.
 
     Up to the mean the sum of the terms below k is carried along, so each
     tail costs O(1); above it each tail is summed upward from its term.
-    The running sum is compensated, or exact in log space.  A pass that
-    starts above the mean needs no running sum, so it starts at ``start``.
+    The running sum is compensated, or exact in log space.
     """
     exact = mean > _LOG_SPACE_MEAN
-    k = 0 if start <= mean else start
     below = 0 if exact else 0.0
     comp = 0.0
-    for term in _terms(mean, k):
+    for k, term in enumerate(_terms(mean)):
         if k > mean:
             yield _upper_sum(mean, k, term)
+            continue
+        if k:
+            yield max(1.0 - (below / _UNITS if exact else below), 0.0)
+        if exact:
+            below += _units(term)
         else:
-            if k >= start:
-                yield max(1.0 - (below / _UNITS if exact else below), 0.0)
-            if exact:
-                below += _units(term)
-            else:
-                y = term - comp
-                t = below + y
-                comp = (t - below) - y
-                below = t
-        k += 1
+            y = term - comp
+            t = below + y
+            comp = (t - below) - y
+            below = t
 
 
 def _utilities(mean: float, max_channels: int) -> list[float]:
@@ -319,9 +319,9 @@ def cost_table(total: int, load: float) -> np.ndarray:
     load = _check_mean(load)
     below = min(math.floor(load), total)
     if total - below < _LOCKSTEP_LANES:
-        tails = list(islice(_tails(load, 1), total))
+        tails = list(islice(_tails(load), total))
     else:
-        tails = list(islice(_tails(load, 1), below))
+        tails = list(islice(_tails(load), below))
         tails.extend(_lockstep_sums(load, below + 1, total - below).tolist())
     row = [0.0]
     exact = 0
@@ -334,32 +334,26 @@ def cost_table(total: int, load: float) -> np.ndarray:
     return np.array(row)
 
 
-def saturation_channels(
-    mean: float, tol: float = 1e-12, *, limit: int | None = None
-) -> int:
-    """Smallest channel count whose tail probability drops below tol.
+def saturation_channels(mean: float, limit: int) -> int:
+    """Smallest channel count whose tail probability drops below 1e-12.
 
-    Past this point every additional channel changes a utility by less than
-    tol, so solvers can cap per-type choices here without moving an optimum
-    resolved at coarser tolerance.
+    Past this point each additional channel adds less than 1e-12 to the
+    utility.  That is not nothing: rounding-level amounts can still move a
+    value across a tie band, so a cap here can change an optimum (see
+    ``solver.solve_loads``).
 
     Args:
         mean: Type whose saturation point is sought.
-        tol: Tail threshold; defaults to 1e-12.
-        limit: If given, scan at most this many tails and return ``limit``
-            when none of them drops below tol, which gives
-            ``min(limit, saturation_channels(mean, tol))``.
+        limit: Scan at most this many tails, and return ``limit`` when
+            none of them drops below the threshold.
 
     Returns:
-        The smallest k >= 1 with P(X >= k) < tol (or ``limit``, if smaller).
+        The smallest k >= 1 with P(X >= k) < 1e-12, or ``limit`` if that
+        is smaller.
     """
     mean = _check_mean(mean)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    tails = _tails(mean, 1)
-    if limit is not None:
-        tails = islice(tails, _check_count(limit, "limit"))
-    for k, tail in enumerate(tails, start=1):
-        if tail < tol:
+    limit = _check_count(limit, "limit")
+    for k, tail in enumerate(islice(_tails(mean), limit), start=1):
+        if tail < _SATURATION_TAIL:
             return k
     return limit

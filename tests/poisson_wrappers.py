@@ -9,11 +9,14 @@ the pricing and scoring evaluators, which read utility tables, are
 checked against.
 """
 
+from itertools import count, islice
+
 from spectrum_contracts.stochastic import (
     _check_count,
     _check_mean,
     _tails,
     _terms,
+    _upper_sum,
     _utilities,
 )
 
@@ -40,9 +43,10 @@ def poisson_tail(mean: float, k: int) -> float:
     """Upper tail P(X >= k) for a Poisson variable with the given mean.
 
     For k at or below the mean the tail is computed as one minus the lower
-    cumulative sum; above the mean the upper sum is accumulated directly,
-    which keeps the result strictly positive and strictly decreasing in k
-    far into the tail.
+    cumulative sum, read from ``_tails``; above the mean the upper sum is
+    accumulated directly from term k, as ``_tails`` does there, which keeps
+    the result strictly positive and strictly decreasing in k far into the
+    tail.  Neither path steps through the upper sums below k.
 
     Args:
         mean: Mean active-user count; positive and finite.
@@ -56,7 +60,20 @@ def poisson_tail(mean: float, k: int) -> float:
     """
     mean = _check_mean(mean)
     k = _check_count(k, "k")
-    return next(_tails(mean, k))
+    if k == 0:
+        return 1.0
+    if k <= mean:
+        return next(islice(_tails(mean), k - 1, None))
+    return _upper_sum(mean, k, next(_terms(mean, k)))
+
+
+def tail_drops_below(mean: float, tol: float) -> int:
+    """Smallest k >= 1 with P(X >= k) < tol, for any threshold tol in (0, 1].
+
+    ``stochastic.saturation_channels`` is this at tol = 1e-12, scanned up
+    to a limit.
+    """
+    return next(k for k in count(1) if poisson_tail(mean, k) < tol)
 
 
 def uav_utility(mean: float, channels: int) -> float:

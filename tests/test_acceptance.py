@@ -45,7 +45,7 @@ from spectrum_contracts.solver import Objective, solve
 from spectrum_contracts.stochastic import cost_table, saturation_channels
 
 from contract_checks import ladder_utilities, lemma2_conditions, validate_feasibility
-from poisson_wrappers import poisson_tail, uav_utility
+from poisson_wrappers import poisson_tail, tail_drops_below, uav_utility
 
 REFERENCE_LADDER = TypeLadder(tuple(float(t) for t in range(1, 11)), (1,) * 10)
 
@@ -181,7 +181,7 @@ class TestCriterion4PropertySuites:
             lam = float(rng.uniform(0.1, 15.0))
             # Strict gains are only representable below saturation;
             # beyond it the increment is absorbed by float rounding.
-            w = int(rng.integers(0, saturation_channels(lam, tol=1e-9)))
+            w = int(rng.integers(0, tail_drops_below(lam, 1e-9)))
             u0, u1, u2 = (uav_utility(lam, w + j) for j in range(3))
             assert u1 > u0
             assert (u2 - u1) < (u1 - u0)
@@ -229,7 +229,8 @@ class TestCriterion4PropertySuites:
         rng = np.random.default_rng(106)
         for _ in range(500):
             lam = float(rng.uniform(0.1, 30.0))
-            w_sat = saturation_channels(lam)
+            # Means up to 30 saturate far below 200 channels.
+            w_sat = saturation_channels(lam, 200)
             assert abs(uav_utility(lam, w_sat) - lam) < 1e-9
 
     def test_criterion_4_saturation_cap_is_safe(self):

@@ -14,13 +14,13 @@ from spectrum_contracts.contract import (
     QualityAssignment,
     TypeLadder,
     gain,
-    ladder_from_lambdas,
     operator_surpluses,
     optimal_prices,
     revenue,
     social_welfare,
     total_weight,
 )
+from spectrum_contracts.geometry import DerivedTypes
 from spectrum_contracts.stochastic import cost_table
 
 from contract_checks import ladder_utilities, lemma2_conditions, validate_feasibility
@@ -48,7 +48,7 @@ def _prices(ladder, assignment):
 
 def _gain_at(ladder, t, w):
     """G_t at one channel count w."""
-    return gain(ladder, t, lambda s: uav_utility(ladder.lambdas[s], w))
+    return gain(ladder, t, [uav_utility(lam, w) for lam in ladder.lambdas])
 
 
 def _random_ladder(rng, max_types=4, lam_hi=8.0):
@@ -81,9 +81,10 @@ class TestValueTypes:
             TypeLadder((0.0,), (1,))
 
     def test_merge_helper_sums_duplicate_counts(self):
-        ladder = ladder_from_lambdas([2.0, 1.0, 2.0], [1, 2, 3])
-        assert ladder.lambdas == (1.0, 2.0)
-        assert ladder.counts == (2, 4)
+        derived = DerivedTypes(lambdas=(2.0, 1.0, 2.0, 0.5, 2.0, 1.0), excluded_uavs=())
+        ladder = derived.ladder()
+        assert ladder.lambdas == (0.5, 1.0, 2.0)
+        assert ladder.counts == (1, 2, 3)
 
     def test_assignment_allows_non_monotone_but_reports_it(self):
         assignment = QualityAssignment((2, 1))

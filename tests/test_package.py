@@ -1,7 +1,7 @@
 """Tests for the package root: its exported names, the README examples,
 the package names the benchmark relies on, the benchmark's cost rows on
-both sides of the lane cutoff, the import layering and dead names under
-src/."""
+both sides of the lane cutoff, the import layering, and dead names and
+options under src/."""
 
 import ast
 import importlib
@@ -30,6 +30,13 @@ EXPORTED_FOR_TESTS = {
     "contract.PriceSchedule": "the type of Contract.prices; only optimal_prices builds one",
     "cli._Parser.error": "argparse calls it on a usage error",
     "runner.strip_timestamp": "README 'Output files' documents it for users",
+}
+
+# Options (defaulted parameters and dataclass fields) that no call in
+# src/ sets, each with the reason it stays; checked both ways, like
+# EXPORTED_FOR_TESTS.
+SET_OUTSIDE_SRC = {
+    "cli.main.argv": "the console script calls main() with no argument; the tests pass argv",
 }
 
 
@@ -244,3 +251,101 @@ def test_src_holds_no_dead_names():
         if used == (full in EXPORTED_FOR_TESTS):
             dead.append(full)
     assert dead == []
+
+
+def _is_dataclass(node):
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _field_has_default(value):
+    """A field's value is its default, unless it is a ``field(...)`` call
+    with neither ``default`` nor ``default_factory``."""
+    if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"):
+        return True
+    return any(k.arg in ("default", "default_factory") for k in value.keywords)
+
+
+def _options(body, prefix, owner=None):
+    """(option name, callee name, keyword, position) for every defaulted
+    parameter of a function or method and every dataclass field with a
+    default, nested ones too.  Positions skip a method's ``self``;
+    keyword-only parameters have none.  ``__init__`` is called by its
+    class name."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            fields = [
+                member
+                for member in node.body
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+            ]
+            if _is_dataclass(node):
+                for index, member in enumerate(fields):
+                    if member.value is not None and _field_has_default(member.value):
+                        name = member.target.id
+                        yield f"{prefix}{node.name}.{name}", node.name, name, index
+            yield from _options(node.body, f"{prefix}{node.name}.", node.name)
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            if owner is not None:
+                positional = positional[1:]
+            callee = owner if node.name == "__init__" and owner else node.name
+            qualified = f"{prefix}{node.name}."
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            for arg in defaulted:
+                yield qualified + arg.arg, callee, arg.arg, positional.index(arg)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield qualified + arg.arg, callee, arg.arg, None
+            yield from _options(node.body, qualified)
+        else:
+            yield from _options(ast.iter_child_nodes(node), prefix, owner)
+
+
+def _passed(trees):
+    """(callee name, keyword or position) for every argument a call
+    passes, with a name bound to other callables (``run = a if c else
+    b``) standing for each of them."""
+    aliases = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            value = node.value
+            choices = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+            if isinstance(node.targets[0], ast.Name) and all(
+                isinstance(choice, ast.Name) for choice in choices
+            ):
+                aliases[node.targets[0].id] = {choice.id for choice in choices}
+    passed = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        for callee in {name} | aliases.get(name, set()):
+            passed.update((callee, index) for index in range(len(node.args)))
+            passed.update((callee, k.arg) for k in node.keywords)
+    return passed
+
+
+def test_src_options_have_src_callers():
+    # With one value in use, a constant does: every defaulted parameter
+    # and dataclass field in src/ must be set by some call in src/, by
+    # keyword or at its position, or the tests alone exercise it.
+    paths = sorted((ROOT / "src" / "spectrum_contracts").glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    passed = _passed(trees.values())
+    options = [
+        (name, callee, keyword, index)
+        for module, tree in trees.items()
+        for name, callee, keyword, index in _options(tree.body, f"{module}.")
+    ]
+    assert set(SET_OUTSIDE_SRC) <= {name for name, *_ in options}
+    unset = {
+        name
+        for name, callee, keyword, index in options
+        if (callee, keyword) not in passed and (callee, index) not in passed
+    }
+    assert sorted(unset ^ set(SET_OUTSIDE_SRC)) == []

@@ -63,8 +63,7 @@ def reference_partition(
     centers = _cell_centers(extent, cell_size)
     xs, ys = np.meshgrid(centers, centers, indexing="ij")
 
-    mx, my = placement.mbs_position
-    r_mbs = np.hypot(xs - mx, ys - my)
+    r_mbs = np.hypot(xs, ys)
     with np.errstate(divide="ignore"):
         best = snr(radio.p_mbs, _free_space(r_mbs, radio.frequency) + terrain.eta_nlos, radio.noise)
     owner = np.full(xs.shape, MBS_OWNER, dtype=np.int64)
@@ -100,9 +99,6 @@ def scenarios(draw):
     cell_size = 2.0 * extent / cells
     centers = _cell_centers(extent, cell_size)
     coordinate = st.floats(-extent, extent)
-    mbs = draw(
-        st.one_of(st.just((0.0, 0.0)), st.tuples(coordinate, coordinate))
-    )
     positions = draw(
         st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6)
     )
@@ -112,12 +108,11 @@ def scenarios(draw):
             float(draw(st.sampled_from(centers))),
         )
     if draw(st.booleans()):
-        positions[-1] = mbs
+        # Directly above the base station.
+        positions[-1] = (0.0, 0.0)
     positions = tuple(dict.fromkeys(positions))
     placement = Placement(
-        uav_positions=positions,
-        height=draw(st.floats(10.0, 20000.0)),
-        mbs_position=mbs,
+        uav_positions=positions, height=draw(st.floats(10.0, 20000.0))
     )
     terrain = draw(st.sampled_from([URBAN, SUBURBAN]))
     radio = draw(st.sampled_from([DEFAULT_RADIO, LOUD_RADIO]))
@@ -130,12 +125,12 @@ def test_culled_partition_matches_the_full_grid(case):
     assert_same_partition(*case)
 
 
-def test_uav_above_an_offset_base_station_on_a_cell_center():
-    mbs = (400.0, -200.0)
+def test_uav_above_the_base_station_on_a_cell_center():
+    # The odd 21-cell grid puts a cell center on the base station at the
+    # origin, with the first UAV directly above it.
     placement = Placement(
-        uav_positions=(mbs, (-300.0, 500.0), (37.5, 12.25)),
+        uav_positions=((0.0, 0.0), (-300.0, 500.0), (37.5, 12.25)),
         height=120.0,
-        mbs_position=mbs,
     )
     for terrain in (URBAN, SUBURBAN):
         for radio in (DEFAULT_RADIO, LOUD_RADIO):

@@ -9,11 +9,13 @@ evaluators' agree bit for bit only while both see the same floats.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from spectrum_contracts import stochastic
 from spectrum_contracts.contract import TypeLadder, gain
 from spectrum_contracts.solver import Objective, _gain_rows
 from spectrum_contracts.stochastic import (
@@ -277,7 +279,7 @@ def test_poisson_tail_matches_reference(mean, extra):
 
 def test_poisson_tail_matches_reference_at_every_k():
     for mean in (1e-3, 0.5, 1.0, 3.0, 7.25, 10.0, 15.0, 30.0, 100.0, 701.0):
-        for k in range(saturation_channels(mean, 1e-300) + 5):
+        for k in range(reference_saturation_channels(mean, 1e-300) + 5):
             assert poisson_tail(mean, k) == reference_poisson_tail(mean, k), (mean, k)
 
 
@@ -364,13 +366,17 @@ def test_mbs_cost_matches_reference(data, load, total):
         st.integers(min_value=1, max_value=120).map(float),
         st.sampled_from([699.5, 700.0, 700.5, 705.0]),
     ),
-    tol=st.one_of(
-        st.sampled_from([1e-12, 1e-300, 0.5]),
-        st.floats(min_value=1e-15, max_value=0.99),
+    limit=st.one_of(
+        st.sampled_from([0, 1, 100_000]),
+        st.integers(min_value=0, max_value=1000),
     ),
 )
-def test_saturation_channels_matches_reference(mean, tol):
-    assert saturation_channels(mean, tol) == reference_saturation_channels(mean, tol)
+def test_saturation_channels_matches_reference(mean, limit):
+    # The scan stops after ``limit`` tails; also for the limits next to
+    # the saturation point.
+    full = reference_saturation_channels(mean)
+    for cap in (limit, max(full - 1, 0), full, full + 1):
+        assert saturation_channels(mean, cap) == min(cap, full), cap
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,9 +385,13 @@ def test_saturation_channels_matches_reference(mean, tol):
     k=st.integers(min_value=1, max_value=80),
 )
 def test_saturation_channels_at_a_tolerance_equal_to_a_tail(mean, k):
+    # The threshold is a module constant; set it to a tail, where only a
+    # strict comparison stops at the next count.
     tol = reference_poisson_tail(mean, k)
     if 0.0 < tol < 1.0:
-        assert saturation_channels(mean, tol) == reference_saturation_channels(mean, tol)
+        with mock.patch.object(stochastic, "_SATURATION_TAIL", tol):
+            found = saturation_channels(mean, 100_000)
+        assert found == reference_saturation_channels(mean, tol)
 
 
 @st.composite
@@ -411,6 +421,6 @@ def test_gain_rows_match_per_cell_gain(ladder, top):
     assert revenue_rows.shape == welfare_rows.shape == (ladder.size, top + 1)
     for t, (lam, count) in enumerate(zip(ladder.lambdas, ladder.counts)):
         for k in range(top + 1):
-            cell = gain(ladder, t, lambda s: uav_utility(ladder.lambdas[s], k))
+            cell = gain(ladder, t, [uav_utility(lam, k) for lam in ladder.lambdas])
             assert revenue_rows[t, k] == reference_gain(ladder, t, k) == cell
             assert welfare_rows[t, k] == count * uav_utility(lam, k)

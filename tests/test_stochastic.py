@@ -188,18 +188,18 @@ class TestMbsCost:
 class TestSaturationChannels:
     def test_tail_below_tolerance_at_cap(self):
         for mean in (0.7, 4.0, 10.0, 33.0):
-            k = saturation_channels(mean)
+            k = saturation_channels(mean, 200)
             assert poisson_tail(mean, k) < 1e-12
             assert poisson_tail(mean, k - 1) >= 1e-12
 
     def test_known_cap_for_mean_ten(self):
-        assert saturation_channels(10.0) == 40
+        assert saturation_channels(10.0, 200) == 40
 
     def test_utility_saturated_at_cap(self):
         for mean in (1.3, 6.0, 12.0):
-            k = saturation_channels(mean)
+            k = saturation_channels(mean, 200)
             assert abs(uav_utility(mean, k) - mean) < 1e-9
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError, match="tol"):
-            saturation_channels(2.0, tol=0.0)
+    def test_rejects_bad_limit(self):
+        with pytest.raises(ValueError, match="limit"):
+            saturation_channels(2.0, -1)

@@ -11,8 +11,9 @@ combinatorial core two ways:
   remain for types t onward; monotonicity is enforced by restricting the
   next type to counts >= k.  Layer t is computed from layer t+1 alone,
   so only two value layers are held at a time, plus every layer's
-  decisions for the backtrack, and only the states a budget can reach
-  are filled.  One fill serves every budget W = 0..M.
+  decisions for the backtrack.  Only the states a budget can reach are
+  filled, and only their decisions are stored, in one flat band.  One
+  fill serves every budget W = 0..M.
   Then, for each base-station load in turn, ``solve_loads`` subtracts
   that load's expected congestion cost of selling W channels and keeps
   the best net value.  The cap K, one utility table per type and one
@@ -34,9 +35,10 @@ even where utilities plateau below the tolerance; only the oracle takes
 a ``TieBreak``, so that the oracle check can sabotage that side.
 
 Impossible states (not enough budget for the mandated counts) are
-tracked explicitly: their stored value is an absorbing sentinel,
-``IMPOSSIBLE``, that can never win a comparison against any achievable
-value, and their decision entry is 0.
+never stored or read by the dynamic program.  ``IMPOSSIBLE``, an
+absorbing sentinel that can never win a comparison against any
+achievable value, starts every suffix scan's running maxima and marks
+the exhaustive oracle's unreachable budgets.
 """
 
 from __future__ import annotations
@@ -72,15 +74,17 @@ DEFAULT_BRUTE_FORCE_CAP = 10_000_000
 
 # Largest DP working set one ``build_tables`` call will allocate, and the
 # most one ``solve_loads`` call holds in one fill plus its cost rows, in
-# bytes (512 MiB).  With the saturation cap the largest fill in use,
-# ``dp_table_bytes`` of the largest benchmark ladder (T=100, M=2000,
-# largest mean 10, so K=40), is 9.55 MB, about 1/56 of the limit; the
-# ladder with the widest cap (T=20, M=1000, largest mean 100, K=179)
-# needs 6.5 MB.  So only uncapped fills of large ladders or sweeps of very
-# many loads at large M come near it; the capped run of such a ladder
-# gives the same objective value up to rounding-level amounts (see
-# ``solve_loads``).  The limit is per call: a pooled height sweep holds
-# one fill per worker at once.
+# bytes (512 MiB).  The fill stores decisions on the reachable band only,
+# so with the saturation cap the largest fill in use, ``dp_table_bytes``
+# of the largest benchmark ladder (T=100, M=2000, largest mean 10, so
+# K=40), is about 4.1 MB, about 1/130 of the limit; the ladder with the
+# widest cap (T=20, M=1000, largest mean 100, K=179) needs about 3.4 MB.
+# Even uncapped, T=100 and M=2000 with every head count 1 needs about
+# 79 MiB.  So only uncapped fills of very large ladders (M=6000 there
+# needs about 699 MiB) or sweeps of very many loads at large M reach it;
+# the capped run of such a ladder gives the same objective value up to
+# rounding-level amounts (see ``solve_loads``).  The limit is per call: a
+# pooled height sweep holds one fill per worker at once.
 MAX_TABLE_BYTES = 512 * 2**20
 
 
@@ -123,18 +127,24 @@ CORRUPT_TIE_BREAK = TieBreak(eps=0.05, prefer_larger=True)
 
 @dataclass(frozen=True)
 class DpTables:
-    """First-type values and all decisions of one inner dynamic program.
+    """First-type values and the reachable decisions of one inner program.
 
-    ``opt[k, w]`` is the best total gain over every type when the first
-    type takes exactly k channels out of a budget of w.  States that
-    cannot be realized hold the sentinel.  ``decision[t, k, w]`` gives
-    the chosen count for type t+1 when type t takes k channels out of a
-    remaining budget of w (0 where no choice exists), stored in the
-    narrowest unsigned type that holds the cap K.
+    With S_t the head count of types t..T, state (t, k, w) is reachable
+    exactly when k <= K and w >= k*S_t.  ``opt[k, w]`` is the best total
+    gain over every type when the first type takes exactly k channels
+    out of a budget of w; it is set on the first type's reachable states
+    only, and every other cell of the (K+1) x (W+1) layer is unspecified.
+    ``decision[offsets[t, k] + w]`` gives the chosen count for type t+1
+    when type t < T-1 takes k channels out of a remaining budget of w,
+    for reachable (t, k, w) only.  ``decision`` is one flat array in the
+    narrowest unsigned type that holds the cap K; the last type chooses
+    nothing and stores nothing.  ``offsets`` is (T-1) x (K+1) int64, and
+    its entries for rows no budget reaches are unspecified.
     """
 
     opt: np.ndarray
     decision: np.ndarray
+    offsets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -180,13 +190,14 @@ def _suffix_scan(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Running suffix maxima and tie-resolved picks of the rows of values.
 
-    ``values`` is (K+1) x (W+1), and row j may hold a value other than
-    ``IMPOSSIBLE`` only in the columns w >= j*rest (with rest 0, in every
-    column).  The scan starts at the top row that can hold one,
-    min(K, W // rest), and walks down.  After step k it yields
-    (k, best, pick), where for every column w >= k*rest best[w] is
-    max(values[k:, w]) exactly and pick[w] is the smallest row in k..K
-    whose value lies within ``TIE_EPS`` of it.  Any value strictly above
+    ``values`` is (K+1) x (W+1), and row j holds a state's value only in
+    the columns w >= j*rest (with rest 0, in every column); every other
+    cell is never read and may hold anything.  The scan starts at the top
+    row that can hold one, min(K, W // rest), and walks down.  After step
+    k it yields (k, best, pick), where for every column w >= k*rest
+    best[w] is exactly the maximum of values[j, w] over the rows j >= k
+    that hold a value there, and pick[w] is the smallest such row whose
+    value lies within ``TIE_EPS`` of it.  Any value strictly above
     the tolerance band therefore decides the pick outright; eps only
     widens what counts as tied with the best.  This is the dynamic
     program's one tie rule.  Step k touches only the columns w >= k*rest;
@@ -194,10 +205,11 @@ def _suffix_scan(
     place, so a caller copies what it keeps.
 
     Skipping the rows above the top and the cells left of each row's
-    band changes no maximum, since those cells hold -inf.  Nor does it
-    change a pick: a column enters the scan at the first row that holds
-    a value there, and that row always takes the pick, because every
-    comparison against the -inf incumbent reads -inf - eps = -inf.
+    band is what a scan over the whole table would do if those cells
+    held -inf: it changes no maximum, nor a pick, since a column enters
+    the scan at the first row that holds a value there, and that row
+    always takes the pick, because every comparison against the -inf
+    incumbent reads -inf - eps = -inf.
     """
     rows, cols = values.shape
     top = rows - 1 if rest == 0 else min(rows - 1, (cols - 1) // rest)
@@ -218,17 +230,37 @@ def _suffix_scan(
         yield k, best, pick
 
 
-def dp_table_bytes(T: int, K: int, W: int) -> int:
-    """Bytes ``build_tables`` holds at once for T types, cap K, budget W.
+def _band_cells(counts: tuple[int, ...], K: int, W: int) -> int:
+    """Decision cells ``build_tables`` stores for head counts, cap K, budget W.
 
-    The decision table (T layers in the narrowest unsigned type for K)
-    and two float64 value layers, each layer (K+1) x (W+1), plus the
-    running rows of one suffix scan, each W+1 long: the maxima and the
-    tolerance band (float64), the picks (the decision type) and a mask
-    (one byte).
+    Layer t < T-1 stores rows k <= min(K, W // S_t), row k from column
+    k*S_t to W, where S_t is the head count of types t..T; the last layer
+    stores none.
+    """
+    cells = 0
+    rest = sum(counts)
+    for count in counts[:-1]:
+        top = min(K, W // rest)
+        cells += (top + 1) * (W + 1) - rest * top * (top + 1) // 2
+        rest -= count
+    return cells
+
+
+def dp_table_bytes(counts: tuple[int, ...], K: int, W: int) -> int:
+    """Bytes ``build_tables`` holds at once for head counts, cap K, budget W.
+
+    The decisions on the reachable band (``_band_cells``, in the narrowest
+    unsigned type for K), their (T-1) x (K+1) int64 row offsets, two
+    float64 value layers of (K+1) x (W+1), and the running rows of one
+    suffix scan, each W+1 long: the maxima and the tolerance band
+    (float64), the picks (the decision type) and a mask (one byte).
     """
     itemsize = np.min_scalar_type(K).itemsize
-    return (W + 1) * ((K + 1) * (T * itemsize + 2 * 8) + 2 * 8 + itemsize + 1)
+    return (
+        _band_cells(counts, K, W) * itemsize
+        + (len(counts) - 1) * (K + 1) * 8
+        + (W + 1) * ((K + 1) * 2 * 8 + 2 * 8 + itemsize + 1)
+    )
 
 
 def build_tables(ladder: TypeLadder, gains: np.ndarray, W: int) -> DpTables:
@@ -237,16 +269,19 @@ def build_tables(ladder: TypeLadder, gains: np.ndarray, W: int) -> DpTables:
     Row t of ``gains`` (``_gain_rows``) values each count 0..K for type
     t, so its width sets the per-type cap K.  Walks the types from the
     last to the first, keeping two value layers and every layer's
-    decisions, and fills only the states a budget can reach.  With S_t
-    the head count of types t..T, state (t, k, w) is
+    decisions, and fills and stores only the states a budget can reach.
+    With S_t the head count of types t..T, state (t, k, w) is
     reachable exactly when w >= k*S_t: by induction, the last layer's
     row k is set from w = k*N_T on, and layer t's row k continues from
     the layer below at w - k*N_t with some count j >= k, which is
     reachable exactly when w - k*N_t >= k*S_{t+1} (j = k asks the
     least).  So one running suffix scan of the layer below
     (``_suffix_scan`` with rest = S_{t+1}) serves the whole layer: row k
-    is written right after scan step k, from column k*S_t on.  Every
-    other cell keeps ``IMPOSSIBLE`` and decision 0.
+    is written right after scan step k, from column k*S_t on, and its
+    decisions are appended to the flat band.  That writes every cell the
+    next scan (rest = S_t) reads, so no layer is reset between types and
+    the band is allocated uninitialized: each of its cells is written
+    once.
 
     Refuses, before allocating anything, a fill whose working set
     (``dp_table_bytes``) exceeds ``MAX_TABLE_BYTES`` (512 MiB), with a
@@ -259,14 +294,15 @@ def build_tables(ladder: TypeLadder, gains: np.ndarray, W: int) -> DpTables:
     K = gains.shape[1] - 1
     if K > W:
         raise ValueError(f"per-type cap K={K} must not exceed the budget W={W}")
-    needed = dp_table_bytes(T, K, W)
+    counts = ladder.counts
+    needed = dp_table_bytes(counts, K, W)
     if needed > MAX_TABLE_BYTES:
         raise ValueError(
             f"DP tables for T={T} types, K={K}, M={W} channels need "
             f"{needed} bytes, over the limit of {MAX_TABLE_BYTES} bytes"
         )
-    counts = ladder.counts
-    decision = np.zeros((T, K + 1, W + 1), dtype=np.min_scalar_type(K))
+    decision = np.empty(_band_cells(counts, K, W), dtype=np.min_scalar_type(K))
+    offsets = np.zeros((T - 1, K + 1), dtype=np.int64)
     below = np.full((K + 1, W + 1), IMPOSSIBLE, dtype=np.float64)
     layer = np.empty_like(below)
 
@@ -274,33 +310,37 @@ def build_tables(ladder: TypeLadder, gains: np.ndarray, W: int) -> DpTables:
     for k in range(min(K, W // rest) + 1):
         below[k, k * rest :] = gains[T - 1, k]
 
+    end = 0
     for t in range(T - 2, -1, -1):
         count = counts[t]
-        layer.fill(IMPOSSIBLE)
         for k, best, pick in _suffix_scan(below, rest):
             start = k * (count + rest)
             if start <= W:
                 # Budget w continues from w - k*count in the layer below.
                 stop = W - k * count + 1
                 np.add(gains[t, k], best[k * rest : stop], out=layer[k, start:])
-                decision[t, k, start:] = pick[k * rest : stop]
+                width = W - start + 1
+                decision[end : end + width] = pick[k * rest : stop]
+                offsets[t, k] = end - start
+                end += width
+        # Free this scan's rows before the next scan allocates its own.
+        del best, pick
         rest += count
         layer, below = below, layer
-    return DpTables(opt=below, decision=decision)
+    return DpTables(opt=below, decision=decision, offsets=offsets)
 
 
 def _backtrack(
-    decision: np.ndarray, counts: tuple[int, ...], first_k: int, W: int
+    tables: DpTables, counts: tuple[int, ...], first_k: int, W: int
 ) -> QualityAssignment:
-    T = decision.shape[0]
-    w_vec = []
+    decision, offsets = tables.decision, tables.offsets
+    w_vec = [first_k]
     k, w = first_k, W
-    for t in range(T):
+    for t in range(len(counts) - 1):
+        nxt = int(decision[offsets[t, k] + w])
+        w -= k * counts[t]
+        k = nxt
         w_vec.append(k)
-        if t < T - 1:
-            nxt = int(decision[t, k, w])
-            w -= k * counts[t]
-            k = nxt
     return QualityAssignment(tuple(w_vec))
 
 
@@ -359,7 +399,7 @@ def solve_loads(
     M = total_channels
     loads = [MbsLoad(M, load).load for load in loads]
     K = saturation_cap(ladder, M) if use_k_cap else M
-    fill = dp_table_bytes(ladder.size, K, M)
+    fill = dp_table_bytes(ladder.counts, K, M)
     rows = len(loads) * (M + 1) * 8
     if fill + rows > MAX_TABLE_BYTES:
         raise ValueError(
@@ -382,7 +422,7 @@ def solve_loads(
             net = inner_vals - costs
             best_w = _scan_preferred(net, _DP_TIE)
             assignment = _backtrack(
-                tables.decision, ladder.counts, int(first_pick[best_w]), best_w
+                tables, ladder.counts, int(first_pick[best_w]), best_w
             )
             yield _package(ladder, assignment, utilities, costs, inner_values, net)
         del tables

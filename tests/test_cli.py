@@ -861,15 +861,15 @@ class TestCommandLine:
         lambdas = ", ".join(str(float(v)) for v in range(1, 101))
         config = (
             f"ladder:\n  lambdas: [{lambdas}]\n"
-            "mbs:\n  total_channels: 2000\n  load: 1500.0\n"
+            "mbs:\n  total_channels: 6000\n  load: 1500.0\n"
             "solver:\n  use_k_cap: false\n"
         )
         out = tmp_path / "o"
         code = main(["solve", "--config", self._write(tmp_path, config), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        needed = solver.dp_table_bytes(100, 2000, 2000)
-        assert "T=100 types, K=2000, M=2000 channels" in err
+        needed = solver.dp_table_bytes((1,) * 100, 6000, 6000)
+        assert "T=100 types, K=6000, M=6000 channels" in err
         assert f"need {needed} bytes" in err
         assert not list(out.glob("*.csv"))
 

@@ -1,14 +1,19 @@
 """Bit-identity oracle for the banded rolling-layer DP fill.
 
 ``reference_build_tables`` is the fill that stored the whole value cube
-``opt[T, K+1, W+1]``, and ``reference_suffix_incumbents`` the full
-(K+1) x (W+1) suffix maxima and picks it scanned each layer with; both
-are kept verbatim apart from their names and the line that builds the
-gain rows from utility tables.  The banded fill, given the same rows,
+``opt[T, K+1, W+1]`` and the whole decision cube, and
+``reference_suffix_incumbents`` the full (K+1) x (W+1) suffix maxima and
+picks it scanned each layer with; both are kept verbatim apart from
+their names, the line that builds the gain rows from utility tables and
+the pair the reference returns.  The banded fill, given the same rows,
 keeps two value layers, walks the types in the same order, skips only
 cells that hold ``IMPOSSIBLE`` and does the same arithmetic on the
-rest, so its decisions and its first-type layer must equal the
-reference's byte for byte (``tobytes``, never a tolerance).
+rest, and stores decisions on the reachable band w >= k*S_t alone (S_t
+the head count of types t..T).  So every reachable decision and every
+reachable first-type value must equal the reference's byte for byte
+(``tobytes`` of the gathered cells, never a tolerance), and every cell
+outside the band must hold ``IMPOSSIBLE`` and decision 0 in the
+reference, so the band drops nothing.
 """
 
 import numpy as np
@@ -19,7 +24,6 @@ from hypothesis import strategies as st
 from spectrum_contracts.contract import TypeLadder
 from spectrum_contracts.solver import (
     IMPOSSIBLE,
-    DpTables,
     Objective,
     TieBreak,
     _gain_rows,
@@ -72,8 +76,8 @@ def reference_build_tables(
     W: int,
     K: int,
     tie: TieBreak | None = None,
-) -> DpTables:
-    """Fill the layered value/decision tables for budget W and cap K."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill the layered value/decision cubes for budget W and cap K."""
     if not isinstance(W, int) or isinstance(W, bool) or W < 0:
         raise ValueError(f"W must be a nonnegative integer, got {W!r}")
     if not isinstance(K, int) or isinstance(K, bool) or K < 0:
@@ -107,7 +111,7 @@ def reference_build_tables(
                 reachable, gains[t, k] + cont_val, IMPOSSIBLE
             )
             decision[t, k, need:] = np.where(reachable, cont_idx, 0)
-    return DpTables(opt=opt, decision=decision)
+    return opt, decision
 
 
 @st.composite
@@ -141,15 +145,30 @@ def _fills(draw):
 
 
 def _assert_same_fill(ladder, objective, W, K):
-    ref = reference_build_tables(ladder, objective, W, K)
+    ref_opt, ref_decision = reference_build_tables(ladder, objective, W, K)
     gains = _gain_rows(ladder, objective, ladder_utilities(ladder, K))
     new = build_tables(ladder, gains, W)
-    assert new.decision.dtype == ref.decision.dtype
-    assert new.decision.shape == ref.decision.shape
-    assert new.decision.tobytes() == ref.decision.tobytes()
-    assert new.opt.dtype == ref.opt.dtype
-    assert new.opt.shape == ref.opt.shape[1:]
-    assert new.opt.tobytes() == ref.opt[0].tobytes()
+    # reach[t, k, w]: w >= k*S_t, with S_t the head count of types t..T.
+    heads = np.cumsum(ladder.counts[::-1])[::-1]
+    k = np.arange(K + 1)[:, None]
+    reach = np.arange(W + 1) >= k * heads[:, None, None]
+    # The band drops nothing: outside it the reference holds only the
+    # sentinel and decision 0, and inside it no sentinel.  The last
+    # layer's decisions are all 0, and the backtrack never reads them.
+    assert (ref_opt[~reach] == IMPOSSIBLE).all()
+    assert not ref_decision[~reach].any()
+    assert (ref_opt[reach] != IMPOSSIBLE).all()
+    assert not ref_decision[-1].any()
+    # Each reachable decision of layers 0..T-2 has its own cell, and the
+    # band has no other cell.
+    t, kk, ww = np.nonzero(reach[:-1])
+    cells = new.offsets[t, kk] + ww
+    assert np.array_equal(np.sort(cells), np.arange(new.decision.size))
+    assert new.decision.dtype == ref_decision.dtype
+    assert new.decision[cells].tobytes() == ref_decision[:-1][reach[:-1]].tobytes()
+    assert new.opt.dtype == ref_opt.dtype
+    assert new.opt.shape == ref_opt.shape[1:]
+    assert new.opt[reach[0]].tobytes() == ref_opt[0][reach[0]].tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -213,53 +213,92 @@ class TestDpInner:
                 )
                 assert value == pytest.approx(direct, abs=1e-9)
 
-    def test_tables_shape_and_impossible_cells(self):
+    def test_band_shape_and_reachable_cells(self):
         ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
         W, K = 9, 5
         tables = build_tables(ladder, _gains(ladder, K), W)
-        # Layer t of the value cube is the first-type layer of the suffix
-        # ladder from type t on: gain row t depends only on types t.. .
-        suffixes = [
-            TypeLadder(ladder.lambdas[t:], ladder.counts[t:])
-            for t in range(ladder.size)
-        ]
-        opt = np.stack([build_tables(s, _gains(s, K), W).opt for s in suffixes])
-        assert opt.shape == (3, K + 1, W + 1)
-        assert tables.decision.shape == (3, K + 1, W + 1)
-        possible = opt != IMPOSSIBLE
-        for t, count in enumerate(ladder.counts):
-            for k in range(K + 1):
-                for w in range(W + 1):
-                    if w < k * count:
-                        assert not possible[t, k, w]
-                        assert tables.decision[t, k, w] == 0
-        # Base layer: achievable cells hold that type's own gain.
-        for k in range(K + 1):
-            for w in range(k * ladder.counts[-1], W + 1):
-                assert opt[2, k, w] == _gain_at(ladder, 2, k)
-        assert tables.decision[~possible].max(initial=0) == 0
+        # Head counts from each type on: S = (5, 3, 2).  Layer 0 stores
+        # rows k <= 1 from column 5k, layer 1 rows k <= 3 from column 3k,
+        # and the last layer nothing.
+        heads = (5, 3, 2)
+        assert tables.opt.shape == (K + 1, W + 1)
+        assert tables.offsets.shape == (2, K + 1)
+        assert tables.decision.shape == ((10 + 5) + (10 + 7 + 4 + 1),)
+        for t in range(2):
+            for k in range(min(K, W // heads[t]) + 1):
+                for w in range(k * heads[t], W + 1):
+                    nxt = tables.decision[tables.offsets[t, k] + w]
+                    # Monotone, within the cap, and the state it leads to
+                    # is reachable.
+                    assert k <= nxt <= K
+                    assert w - k * ladder.counts[t] >= nxt * heads[t + 1]
+        # Layer t's values are the first-type layer of the suffix ladder
+        # from type t on (gain row t depends only on types t..), so each
+        # reachable state is achievable; the last layer's hold that
+        # type's own gain.
+        for t in range(3):
+            suffix = TypeLadder(ladder.lambdas[t:], ladder.counts[t:])
+            opt = build_tables(suffix, _gains(suffix, K), W).opt
+            for k in range(min(K, W // heads[t]) + 1):
+                assert (opt[k, k * heads[t] :] != IMPOSSIBLE).all()
+        for k in range(min(K, W // heads[2]) + 1):
+            for w in range(k * heads[2], W + 1):
+                assert opt[k, w] == _gain_at(ladder, 2, k)
 
     def test_decision_uses_the_narrowest_type_for_the_cap(self):
         ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
         for K, dtype in ((5, np.uint8), (255, np.uint8), (256, np.uint16)):
             tables = build_tables(ladder, _gains(ladder, K), 300)
             assert tables.decision.dtype == dtype
+            assert tables.decision.ndim == 1
+
+
+@st.composite
+def _fill_shapes(draw):
+    """Head counts, cap K and budget W: K = 0, K = W, caps from 256 on
+    (uint16 decisions), and budgets the cap does or does not cut."""
+    counts = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=5)))
+    W = draw(st.integers(min_value=0, max_value=400))
+    K = draw(
+        st.one_of(
+            st.just(0),
+            st.just(W),
+            st.integers(min_value=0, max_value=W),
+            st.integers(min_value=256, max_value=400),
+        )
+    )
+    return counts, K, max(K, W)
 
 
 class TestTableBudget:
     def test_budget_counts_decisions_two_layers_and_the_running_rows(self):
-        # Per budget column: K+1 cells of T decisions and two float64
-        # layers, then two float64 running rows, the picks and a mask.
-        assert dp_table_bytes(3, 5, 9) == 10 * (6 * (3 * 1 + 2 * 8) + 2 * 8 + 1 + 1)
-        assert dp_table_bytes(3, 256, 300) == 301 * (
-            257 * (3 * 2 + 2 * 8) + 2 * 8 + 2 + 1
+        # Head counts (2, 1, 2) give S = (5, 3) for the two layers that
+        # store decisions.  Layer t holds rows k <= min(K, W // S_t), row
+        # k from column k*S_t to W.  Then the (T-1) x (K+1) int64 offsets,
+        # and per budget column two float64 layers of K+1 cells, two
+        # float64 running rows, the picks and a mask.
+        band = (10 + 5) + (10 + 7 + 4 + 1)
+        assert dp_table_bytes((2, 1, 2), 5, 9) == (
+            band * 1 + 2 * 6 * 8 + 10 * (6 * 2 * 8 + 2 * 8 + 1 + 1)
+        )
+        # K=256 stores uint16; at W=300 layer 0 reaches rows 0..60 and
+        # layer 1 rows 0..100, so the band is
+        # (61*301 - 5*60*61/2) + (101*301 - 3*100*101/2) cells.
+        band = (61 * 301 - 5 * 1830) + (101 * 301 - 3 * 5050)
+        assert band == 9211 + 15251
+        assert dp_table_bytes((2, 1, 2), 256, 300) == (
+            band * 2 + 2 * 257 * 8 + 301 * (257 * 2 * 8 + 2 * 8 + 2 + 1)
+        )
+        # The cap cuts the band: with K=2 every layer holds rows 0..2.
+        assert dp_table_bytes((1, 1, 1), 2, 9) == (
+            (10 + 7 + 4) + (10 + 8 + 6) + 2 * 3 * 8 + 10 * (3 * 2 * 8 + 2 * 8 + 1 + 1)
         )
 
     def test_over_budget_names_the_shape_and_the_bytes(self, monkeypatch):
         # The limit is read when the fill starts, so the boundary can be
         # moved onto a small ladder: exactly the working set is accepted.
         ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
-        needed = dp_table_bytes(3, 5, 9)
+        needed = dp_table_bytes(ladder.counts, 5, 9)
         gains = _gains(ladder, 5)
         monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed)
         build_tables(ladder, gains, 9)
@@ -277,7 +316,7 @@ class TestTableBudget:
         ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
         loads = (2.0, 5.0, 9.5)
         K = saturation_cap(ladder, 9)
-        needed = dp_table_bytes(3, K, 9) + len(loads) * 10 * 8
+        needed = dp_table_bytes(ladder.counts, K, 9) + len(loads) * 10 * 8
         monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed)
         assert len(list(solve_loads(ladder, 9, loads, Objective))) == 6
         monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed - 1)
@@ -290,15 +329,61 @@ class TestTableBudget:
             assert part in message
         assert not built
 
-    def test_refusal_comes_before_any_allocation(self):
-        # Unrefused, this fill would hold about 0.9 GB.
-        ladder = TypeLadder(tuple(float(v) for v in range(1, 101)), (1,) * 100)
-        assert dp_table_bytes(100, 2000, 2000) > MAX_TABLE_BYTES
-        gains = _gains(ladder, 2000)
+    @settings(max_examples=60, deadline=None)
+    @given(_fill_shapes())
+    @example(((1,), 0, 0))
+    @example(((1, 1, 1), 0, 20_000))
+    @example(((2, 1, 3), 300, 300))
+    def test_budget_is_what_the_fill_holds(self, case):
+        counts, K, W = case
+        ladder = TypeLadder(tuple(1.0 + t for t in range(len(counts))), counts)
+        gains = _gains(ladder, K)
+        needed = dp_table_bytes(counts, K, W)
+        # Any one-time set-up inside numpy happens outside the traced call.
+        build_tables(ladder, gains, W)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="T=100 types, K=2000, M=2000"):
-                build_tables(ladder, gains, 2000)
+            tables = build_tables(ladder, gains, W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The band, the offsets, two layers like opt, and the scan rows:
+        # two float64, the picks and a one-byte mask per budget column.
+        scan_rows = (W + 1) * (2 * 8 + tables.decision.itemsize + 1)
+        held = tables.decision.nbytes + tables.offsets.nbytes + 2 * tables.opt.nbytes
+        assert needed == held + scan_rows
+        # Nothing else of any size is allocated: past the count, the
+        # traced peak holds only Python objects.  With two types or more
+        # every counted array is alive during the last scan; a single
+        # type runs no scan.
+        assert peak < needed + 8192
+        if len(counts) > 1:
+            assert peak >= needed
+
+    def test_uncapped_fill_runs_at_bench_scale(self):
+        # T=100, M=2000 with every head count 1 is the largest benchmark
+        # shape, uncapped.  The band holds it in about 79 MiB.
+        lambdas = tuple(0.5 + 9.5 * t / 99 for t in range(100))
+        ladder = TypeLadder(lambdas, (1,) * 100)
+        assert dp_table_bytes(ladder.counts, 2000, 2000) < MAX_TABLE_BYTES
+        mbs = MbsLoad(2000, 1500.0)
+        (capped,) = solve(ladder, mbs, [Objective.MBS_REVENUE])
+        (full,) = solve(ladder, mbs, [Objective.MBS_REVENUE], use_k_cap=False)
+        # Utility tables up to K are bit-equal prefixes of those up to M,
+        # so the uncapped search covers every capped assignment with the
+        # same sums, and more.
+        assert saturation_cap(ladder, 2000) < 2000
+        assert np.all(np.array(full.inner_values) >= np.array(capped.inner_values))
+
+    def test_refusal_comes_before_any_allocation(self):
+        # Unrefused, this uncapped fill would hold about 699 MiB.
+        ladder = TypeLadder(tuple(float(v) for v in range(1, 101)), (1,) * 100)
+        assert dp_table_bytes(ladder.counts, 6000, 6000) > MAX_TABLE_BYTES
+        gains = _gains(ladder, 6000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="T=100 types, K=6000, M=6000"):
+                build_tables(ladder, gains, 6000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

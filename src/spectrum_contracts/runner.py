@@ -392,8 +392,11 @@ def run_oracle_check(
         instance_seed = seed + index
         rng = np.random.default_rng(instance_seed)
         ladder, mbs = sample_instance(rng)
-        for objective, dp in zip(Objective, solve(ladder, mbs, Objective)):
-            bf = brute_force_solve(ladder, mbs, objective, cap=cap, tie=bf_tie)
+        for objective, dp, bf in zip(
+            Objective,
+            solve(ladder, mbs, Objective),
+            brute_force_solve(ladder, mbs, Objective, cap=cap, tie=bf_tie),
+        ):
             dp_value = dp.revenue if objective is Objective.MBS_REVENUE else dp.welfare
             bf_value = bf.revenue if objective is Objective.MBS_REVENUE else bf.welfare
             reasons = []

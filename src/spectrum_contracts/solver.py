@@ -21,8 +21,10 @@ combinatorial core two ways:
   gain rows and the fill depend on the objective.  ``solve`` is the
   single-load case.  The per-W trace is retained so load curves can be
   plotted from a single run.
-* ``brute_force_solve``: exhaustive enumeration used as a correctness
-  oracle at small scale.
+* ``brute_force_solve``: the correctness oracle at small scale.  It
+  builds its own inputs once per instance, apart from ``solve_loads``,
+  enumerates every affordable monotone assignment once into one array
+  and scores every objective on it.
 
 The dynamic program has one tie rule: candidates within ``TIE_EPS``
 (1e-12) of the best value count as tied, and ties resolve toward the
@@ -37,8 +39,8 @@ a ``TieBreak``, so that the oracle check can sabotage that side.
 Impossible states (not enough budget for the mandated counts) are
 never stored or read by the dynamic program.  ``IMPOSSIBLE``, an
 absorbing sentinel that can never win a comparison against any
-achievable value, starts every suffix scan's running maxima and marks
-the exhaustive oracle's unreachable budgets.
+achievable value, starts every suffix scan's running maxima and, in
+the exhaustive oracle, marks each budget and count no assignment takes.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -471,24 +473,20 @@ def _package(
 
 
 def count_monotone_assignments(ladder: TypeLadder, budget: int) -> int:
-    """Number of nondecreasing count vectors affordable within budget."""
-    counts = ladder.counts
-    T = ladder.size
+    """Number of nondecreasing count vectors affordable within budget.
 
-    @lru_cache(maxsize=None)
-    def tail(t: int, k_min: int, left: int) -> int:
-        if t == T:
-            return 1
-        total = 0
-        k = k_min
-        while k * counts[t] <= left:
-            total += tail(t + 1, k, left - k * counts[t])
-            k += 1
-        return total
-
-    result = tail(0, 0, budget)
-    tail.cache_clear()
-    return result
+    Written as steps d_t = w_t - w_{t-1} >= 0 (with w_0 = 0), a vector
+    costs the sum of d_t * S_t, with S_t the head count of types t..T,
+    so this counts the ways to spend at most the budget on coins of
+    sizes S_t.
+    """
+    ways = [1] + [0] * budget
+    rest = 0
+    for count in reversed(ladder.counts):
+        rest += count
+        for spent in range(rest, budget + 1):
+            ways[spent] += ways[spent - rest]
+    return sum(ways)
 
 
 def _enumerate_monotone(
@@ -512,96 +510,91 @@ def _enumerate_monotone(
     yield from rec(0, 0, budget)
 
 
-def _select_assignment(
-    gains: np.ndarray, counts: tuple[int, ...], budget: int, tie: TieBreak
-) -> QualityAssignment:
-    """Tie-resolved best assignment within budget, by exhaustive maxima.
+def _enumeration_bytes(space: int, T: int) -> int:
+    """Bytes ``brute_force_solve`` holds at once for ``space`` assignments.
 
-    Walks the types in order; at each one, computes the exact best
-    continuation value of every affordable count by brute recursion and
-    commits to the smallest count within eps of the best (largest under
-    ``prefer_larger``).  The sums are accumulated in the same order as
-    the dynamic program's table fill, so the picks agree exactly.
+    Per assignment, 8 bytes each: its T counts, its T suffix sums, the
+    channels it sells, and up to four working columns: the gathered
+    gains of one type while summing, then the rows still in play, their
+    counts and sums, and the rows kept (plus a one-byte mask) while
+    picking.
     """
-    T = len(counts)
-
-    @lru_cache(maxsize=None)
-    def branch_best(t: int, k_min: int, left: int) -> float:
-        if t == T:
-            return 0.0
-        best = IMPOSSIBLE
-        k = k_min
-        while k * counts[t] <= left:
-            cont = branch_best(t + 1, k, left - k * counts[t])
-            if cont != IMPOSSIBLE:
-                value = float(gains[t, k]) + cont
-                if value > best:
-                    best = value
-            k += 1
-        return best
-
-    w_vec: list[int] = []
-    k_min, left = 0, budget
-    for t in range(T):
-        options: dict[int, float] = {}
-        k = k_min
-        while k * counts[t] <= left:
-            cont = branch_best(t + 1, k, left - k * counts[t])
-            if cont != IMPOSSIBLE:
-                options[k] = float(gains[t, k]) + cont
-            k += 1
-        top = max(options.values())
-        tied = [k for k, v in options.items() if v >= top - tie.eps]
-        pick = max(tied) if tie.prefer_larger else min(tied)
-        w_vec.append(pick)
-        left -= pick * counts[t]
-        k_min = pick
-    branch_best.cache_clear()
-    return QualityAssignment(tuple(w_vec))
+    return space * 8 * (2 * T + 5)
 
 
 def brute_force_solve(
     ladder: TypeLadder,
     mbs: MbsLoad,
-    objective: Objective,
+    objectives: Iterable[Objective],
     *,
     cap: int = DEFAULT_BRUTE_FORCE_CAP,
     tie: TieBreak | None = None,
-) -> SolverResult:
-    """Exhaustive oracle: score every affordable monotone assignment.
+) -> tuple[SolverResult, ...]:
+    """Exhaustive oracle: one best menu per objective, in order, as ``solve``.
 
-    Refuses instances whose search space exceeds ``cap`` assignments.
-    Builds its own inputs, apart from ``solve_loads``, but with the same
-    functions and the same tie-break rule as the dynamic program, so on
-    tractable instances the two must agree exactly, which is what the
-    oracle checker verifies.
+    Refuses with a ``ValueError`` a search space over ``cap``
+    assignments and, before enumerating, one whose arrays
+    (``_enumeration_bytes``) exceed ``MAX_TABLE_BYTES``.  Builds one
+    utility table per type up to M and one cost row, apart from
+    ``solve_loads`` but with the same functions, and enumerates once,
+    one row per assignment in lexicographic order.  Each objective is
+    scored with the dynamic program's sums and tie rule, so on tractable
+    instances the two must agree exactly, which the oracle checker
+    verifies.
     """
     if tie is None:
         tie = _DP_TIE
     M = mbs.total_channels
+    counts = ladder.counts
+    T = ladder.size
     space = count_monotone_assignments(ladder, M)
     if space > cap:
         raise ValueError(
             f"search space of {space} monotone assignments exceeds the cap {cap}"
         )
+    needed = _enumeration_bytes(space, T)
+    if needed > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"enumerating {space} monotone assignments of T={T} types needs "
+            f"{needed} bytes, over the limit of {MAX_TABLE_BYTES} bytes"
+        )
+    picks = np.fromiter(
+        chain.from_iterable(_enumerate_monotone(counts, M)),
+        dtype=np.int64,
+        count=space * T,
+    ).reshape(space, T)
+    sold = picks @ np.array(counts, dtype=np.int64)
     utilities = [utility_table(lam, M) for lam in ladder.lambdas]
-    gains = _gain_rows(ladder, objective, utilities)
     costs = cost_table(M, mbs.load)
-    counts = ladder.counts
-    T = ladder.size
-
-    # Best gross value among assignments selling exactly s channels.
-    by_sold = np.full(M + 1, IMPOSSIBLE, dtype=np.float64)
-    for w_vec in _enumerate_monotone(counts, M):
-        sold = sum(c * w for c, w in zip(counts, w_vec))
-        value = 0.0
+    # suffix[t] holds each assignment's gain over types t..T, summed from
+    # the last type to the first, as the dynamic program adds.
+    suffix = np.empty((T, space))
+    results = []
+    for objective in objectives:
+        gains = _gain_rows(ladder, objective, utilities)
+        total = 0.0
         for t in range(T - 1, -1, -1):
-            value = float(gains[t, w_vec[t]]) + value
-        if value > by_sold[sold]:
-            by_sold[sold] = value
-
-    inner = np.maximum.accumulate(by_sold)
-    net = inner - costs
-    best_w = _scan_preferred(net, tie)
-    assignment = _select_assignment(gains, counts, best_w, tie)
-    return _package(ladder, assignment, utilities, costs, tuple(inner.tolist()), net)
+            total = np.add(gains[t, picks[:, t]], total, out=suffix[t])
+        # Best gross value among assignments selling exactly s channels.
+        by_sold = np.full(M + 1, IMPOSSIBLE)
+        np.maximum.at(by_sold, sold, suffix[0])
+        inner = np.maximum.accumulate(by_sold)
+        net = inner - costs
+        best_w = _scan_preferred(net, tie)
+        # Walk the types in order among the assignments within budget
+        # best_w, each time keeping those that take the picked count.
+        # Float addition rounds monotonically, so g + max(x) == max(g + x):
+        # the best suffix sum of the rows that give type t count k is
+        # exactly gains[t, k] plus the best continuation the dynamic
+        # program keeps for them, and the pick agrees with its scan.
+        rows = np.flatnonzero(sold <= best_w)
+        for t in range(T):
+            taken = picks[rows, t]
+            group = np.full(M + 1, IMPOSSIBLE)
+            np.maximum.at(group, taken, suffix[t, rows])
+            rows = rows[taken == _scan_preferred(group, tie)]
+        assignment = QualityAssignment(tuple(picks[rows[0]].tolist()))
+        results.append(
+            _package(ladder, assignment, utilities, costs, tuple(inner.tolist()), net)
+        )
+    return tuple(results)

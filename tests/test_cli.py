@@ -22,6 +22,7 @@ from spectrum_contracts.config import (
 )
 from spectrum_contracts.contract import MbsLoad, TypeLadder
 from spectrum_contracts.runner import (
+    DEFAULT_ORACLE_SEED,
     ResultTable,
     run_oracle_check,
     run_solve,
@@ -717,6 +718,33 @@ class TestOracleCheck:
         rows = (tmp_path / "oracle_report.csv").read_text().splitlines()[4:]
         assert len(rows) == 20  # two objectives per instance
         assert all(row.endswith(",1") for row in rows)
+
+    def test_each_side_builds_its_inputs_once(self, monkeypatch):
+        # Per instance, the solver and the oracle each build one utility
+        # table per type and one cost row, and the oracle counts its
+        # search space once for both objectives.
+        built = _count_builds(monkeypatch)
+        counted = []
+        count = solver.count_monotone_assignments
+
+        def counting(ladder, budget):
+            counted.append((ladder, budget))
+            return count(ladder, budget)
+
+        monkeypatch.setattr(solver, "count_monotone_assignments", counting)
+        run_oracle_check(instances=12, seed=DEFAULT_ORACLE_SEED)
+        instances = [
+            sample_instance(np.random.default_rng(DEFAULT_ORACLE_SEED + index))
+            for index in range(12)
+        ]
+        # The solver builds first, then the oracle.
+        assert built == {
+            "saturation_cap": 12,
+            "utility_table": [lam for ladder, _ in instances for lam in ladder.lambdas * 2],
+            "cost_table": [mbs.load for _, mbs in instances for _side in range(2)],
+            "build_tables": 12 * len(Objective),
+        }
+        assert counted == [(ladder, mbs.total_channels) for ladder, mbs in instances]
 
     def test_zero_instances_is_a_vacuous_pass(self):
         report = run_oracle_check(instances=0)

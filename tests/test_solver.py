@@ -25,6 +25,7 @@ from spectrum_contracts.solver import (
     MAX_TABLE_BYTES,
     Objective,
     TieBreak,
+    _enumeration_bytes,
     _gain_rows,
     _scan_preferred,
     _suffix_scan,
@@ -555,10 +556,12 @@ class TestTieRule:
     def test_ties_decide_a_full_solve_as_in_the_oracle(self, instance):
         ladder, mbs = instance
         decided = False
-        for objective, fast in zip(Objective, solve(ladder, mbs, Objective)):
-            slow = brute_force_solve(ladder, mbs, objective)
+        for fast, slow, exact in zip(
+            solve(ladder, mbs, Objective),
+            brute_force_solve(ladder, mbs, Objective),
+            brute_force_solve(ladder, mbs, Objective, tie=TieBreak(eps=0.0)),
+        ):
             assert fast.contract.assignment == slow.contract.assignment
-            exact = brute_force_solve(ladder, mbs, objective, tie=TieBreak(eps=0.0))
             decided |= exact.contract.assignment != slow.contract.assignment
         # Count only the cases where the tolerance changes an assignment.
         assume(decided)
@@ -578,17 +581,89 @@ class TestBruteForce:
         )
         assert count_monotone_assignments(ladder, 4) == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+        budget=st.integers(min_value=0, max_value=20),
+    )
+    def test_search_space_counter_counts_the_enumeration(self, counts, budget):
+        # Every nondecreasing affordable vector once, in lexicographic
+        # order, and the counter agrees.
+        ladder = TypeLadder(tuple(1.0 + t for t in range(len(counts))), counts)
+        expected = [
+            w_vec
+            for w_vec in itertools.combinations_with_replacement(
+                range(budget + 1), len(counts)
+            )
+            if sum(c * w for c, w in zip(counts, w_vec)) <= budget
+        ]
+        assert list(solver._enumerate_monotone(counts, budget)) == expected
+        assert count_monotone_assignments(ladder, budget) == len(expected)
+
     def test_cap_refusal_names_the_count(self):
         ladder = TypeLadder((1.0, 2.0, 3.0), (1, 1, 1))
         mbs = MbsLoad(12, 2.0)
         space = count_monotone_assignments(ladder, 12)
         with pytest.raises(ValueError, match=f"{space}.*exceeds the cap"):
-            brute_force_solve(ladder, mbs, Objective.MBS_REVENUE, cap=space - 1)
+            brute_force_solve(ladder, mbs, [Objective.MBS_REVENUE], cap=space - 1)
+
+    def test_byte_refusal_names_the_bytes(self, monkeypatch):
+        # The limit is read when the oracle starts, so the boundary can
+        # be moved onto a small instance: exactly its arrays are accepted.
+        ladder = TypeLadder((1.0, 2.0, 3.0), (2, 1, 2))
+        mbs = MbsLoad(15, 2.0)
+        space = count_monotone_assignments(ladder, 15)
+        needed = _enumeration_bytes(space, 3)
+        monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed)
+        assert len(brute_force_solve(ladder, mbs, Objective)) == 2
+        monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed - 1)
+        with pytest.raises(ValueError) as info:
+            brute_force_solve(ladder, mbs, Objective)
+        message = str(info.value)
+        for part in (f"{space} monotone assignments", "T=3", f"{needed} bytes"):
+            assert part in message
+
+    def test_byte_refusal_comes_before_any_allocation(self, monkeypatch):
+        # About 13 MB of arrays, refused before the enumeration starts.
+        ladder = TypeLadder(tuple(1.0 + t for t in range(6)), (1,) * 6)
+        mbs = MbsLoad(50, 2.0)
+        needed = _enumeration_bytes(count_monotone_assignments(ladder, 50), 6)
+        assert needed > 10_000_000
+        monkeypatch.setattr(solver, "MAX_TABLE_BYTES", needed - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{needed} bytes"):
+                brute_force_solve(ladder, mbs, Objective)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("size, budget", [(3, 60), (4, 40), (6, 24)])
+    def test_byte_count_bounds_what_the_oracle_holds(self, size, budget):
+        # Busy types under a light load buy every channel, so the pick
+        # walks every row.
+        ladder = TypeLadder(tuple(10.0 + t for t in range(size)), (1,) * size)
+        mbs = MbsLoad(budget, 1e-3)
+        space = count_monotone_assignments(ladder, budget)
+        needed = _enumeration_bytes(space, size)
+        # Any one-time set-up inside numpy happens outside the traced call.
+        brute_force_solve(ladder, mbs, Objective)
+        tracemalloc.start()
+        try:
+            results = brute_force_solve(ladder, mbs, Objective)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(result.sold for result in results) == budget
+        # The counts, the suffix sums and the channels sold of every
+        # assignment are held at once, and nothing past the count.
+        assert space * 8 * (2 * size + 1) <= peak <= needed
 
     def test_single_type_direct_scan(self):
         ladder = TypeLadder((5.0,), (1,))
         mbs = MbsLoad(10, 1.0)
-        res = brute_force_solve(ladder, mbs, Objective.MBS_REVENUE)
+        (res,) = brute_force_solve(ladder, mbs, [Objective.MBS_REVENUE])
         costs = cost_table(10, 1.0)
         nets = [uav_utility(5.0, k) - costs[k] for k in range(11)]
         assert res.contract.assignment.w == (int(np.argmax(nets)),)
@@ -598,8 +673,9 @@ class TestBruteForce:
         rng = np.random.default_rng(48)
         for _ in range(200):
             ladder, mbs = _random_instance(rng)
-            for objective, fast in zip(Objective, solve(ladder, mbs, Objective)):
-                slow = brute_force_solve(ladder, mbs, objective)
+            for fast, slow in zip(
+                solve(ladder, mbs, Objective), brute_force_solve(ladder, mbs, Objective)
+            ):
                 assert fast.contract.assignment == slow.contract.assignment
                 assert fast.revenue == pytest.approx(slow.revenue, abs=1e-9)
                 assert fast.welfare == pytest.approx(slow.welfare, abs=1e-9)
@@ -616,8 +692,10 @@ class TestBruteForce:
             rng = np.random.default_rng(DEFAULT_ORACLE_SEED + index)
             ladder, mbs = sample_instance(rng)
             utilities = ladder_utilities(ladder, mbs.total_channels)
-            for objective, fast in zip(Objective, solve(ladder, mbs, Objective)):
-                for result in (fast, brute_force_solve(ladder, mbs, objective)):
+            for fast, slow in zip(
+                solve(ladder, mbs, Objective), brute_force_solve(ladder, mbs, Objective)
+            ):
+                for result in (fast, slow):
                     contract = result.contract
                     sold = total_weight(ladder, contract.assignment)
                     cost = cost_table(mbs.total_channels, mbs.load)[sold]
@@ -634,8 +712,9 @@ class TestBruteForce:
     def test_agrees_with_dp_on_wider_instances(self, instance):
         ladder, mbs = instance
         assert count_monotone_assignments(ladder, mbs.total_channels) <= 20_000
-        for objective, fast in zip(Objective, solve(ladder, mbs, Objective)):
-            slow = brute_force_solve(ladder, mbs, objective)
+        for fast, slow in zip(
+            solve(ladder, mbs, Objective), brute_force_solve(ladder, mbs, Objective)
+        ):
             assert fast.contract.assignment == slow.contract.assignment
             assert fast.revenue == pytest.approx(slow.revenue, abs=1e-9)
             assert fast.welfare == pytest.approx(slow.welfare, abs=1e-9)
@@ -648,7 +727,9 @@ class TestBruteForce:
         mismatches = 0
         for _ in range(50):
             ladder, mbs = _random_instance(rng)
-            bad = brute_force_solve(ladder, mbs, Objective.MBS_REVENUE, tie=corrupt)
+            (bad,) = brute_force_solve(
+                ladder, mbs, [Objective.MBS_REVENUE], tie=corrupt
+            )
             (good,) = solve(ladder, mbs, [Objective.MBS_REVENUE])
             if (
                 bad.contract.assignment != good.contract.assignment
@@ -660,7 +741,7 @@ class TestBruteForce:
     def test_trace_length_matches_budget(self):
         ladder = TypeLadder((1.0, 3.0), (2, 1))
         mbs = MbsLoad(7, 2.0)
-        res = brute_force_solve(ladder, mbs, Objective.SOCIAL_WELFARE)
+        (res,) = brute_force_solve(ladder, mbs, [Objective.SOCIAL_WELFARE])
         assert len(res.inner_values) == len(res.objective_values) == 8
         assert res.contract.assignment.is_monotone
 

@@ -126,8 +126,9 @@ class RegionGrid:
     """Ownership labels on a cell grid plus per-UAV region areas.
 
     ``owner`` holds one label per cell: -1 for the base station, else
-    the index of the owning UAV.  ``areas`` are in square meters,
-    counted from owned cells.
+    the index of the owning UAV, in the narrowest signed integer type
+    that holds both (int8 up to 128 UAVs, int16 from 129).  ``areas``
+    are in square meters, counted from owned cells.
     """
 
     extent: float
@@ -226,8 +227,7 @@ def snr(transmit_power, pathloss, noise):
 
 def _cell_centers(extent: float, cell_size: float) -> np.ndarray:
     """Symmetric cell-center coordinates tiling [-extent, extent]."""
-    n = int(math.floor(2.0 * extent / cell_size + 1e-9))
-    n = max(n, 1)
+    n = max(int(math.floor(2.0 * extent / cell_size + 1e-9)), 1)
     return (np.arange(n) - (n - 1) / 2.0) * cell_size
 
 
@@ -276,7 +276,9 @@ def partition_regions(
     bound holds for the computed values and not just the exact ones.
     Inside the boxes each cell is scored with the same expressions in
     the same order as a full-grid pass, so owners and areas are
-    bit-identical to one; only the cells that cannot change are skipped.
+    bit-identical to one.  A UAV owns no cell outside its box, so its
+    area is counted there.  ``hypot`` ignores signs and the centers are
+    symmetric, so the base station's SNR is scored once per (|x|, |y|).
     """
     if not (math.isfinite(extent) and extent > 0.0):
         raise ValueError(f"extent must be positive, got {extent}")
@@ -284,16 +286,14 @@ def partition_regions(
         raise ValueError(f"cell_size must be positive, got {cell_size}")
     for x, y in placement.uav_positions:
         if abs(x) > extent or abs(y) > extent:
-            raise ValueError(
-                f"UAV at ({x}, {y}) lies outside the analysis window"
-            )
+            raise ValueError(f"UAV at ({x}, {y}) lies outside the analysis window")
     centers = _cell_centers(extent, cell_size)
-    owner = np.full((centers.size, centers.size), MBS_OWNER, dtype=np.int64)
-    height = placement.height
+    labels = np.min_scalar_type(-max(len(placement.uav_positions), 1))
+    owner = np.full((centers.size, centers.size), MBS_OWNER, dtype=labels)
 
     def uav_snr(r):
-        d = np.hypot(r, height)
-        theta = np.degrees(np.arctan2(height, r))
+        d = np.hypot(r, placement.height)
+        theta = np.degrees(np.arctan2(placement.height, r))
         return snr(radio.p_uav, pathloss_uav(theta, d, terrain, radio), radio.noise)
 
     def mbs_snr(dist):
@@ -316,19 +316,18 @@ def partition_regions(
     if boxes:
         top, left = np.min([lo for *_, lo, _ in boxes], axis=0)
         bottom, right = np.max([hi for *_, hi in boxes], axis=0)
-        xs, ys = np.meshgrid(centers[top:bottom], centers[left:right], indexing="ij")
-        best = mbs_snr(np.hypot(xs, ys))
-        window = owner[top:bottom, left:right]
+        xs, rows = np.unique(np.abs(centers[top:bottom]), return_inverse=True)
+        ys, cols = np.unique(np.abs(centers[left:right]), return_inverse=True)
+        best = mbs_snr(np.hypot(xs[:, None], ys))[rows][:, cols]
         for n, ux, uy, (i0, j0), (i1, j1) in boxes:
-            xs, ys = np.meshgrid(centers[i0:i1], centers[j0:j1], indexing="ij")
-            candidate = uav_snr(np.hypot(xs - ux, ys - uy))
-            box = (slice(i0 - top, i1 - top), slice(j0 - left, j1 - left))
-            take = candidate > best[box]
-            window[box][take] = n
-            best[box][take] = candidate[take]
+            dx, dy = centers[i0:i1, None] - ux, centers[None, j0:j1] - uy
+            candidate = uav_snr(np.hypot(dx, dy))
+            incumbent = best[i0 - top:i1 - top, j0 - left:j1 - left]
+            owner[i0:i1, j0:j1][candidate > incumbent] = n
+            np.maximum(incumbent, candidate, out=incumbent)
         cell_area = cell_size * cell_size
-        for n, *_ in boxes:
-            areas[n] = float(np.count_nonzero(window == n)) * cell_area
+        for n, _, _, (i0, j0), (i1, j1) in boxes:
+            areas[n] = float(np.count_nonzero(owner[i0:i1, j0:j1] == n)) * cell_area
     return RegionGrid(
         extent=extent, cell_size=cell_size, owner=owner, areas=tuple(areas)
     )

@@ -6,10 +6,13 @@ culled partition must reproduce its owner array and areas exactly,
 bit for bit, on any placement.  Generated placements on small grids
 also check properties that need no reference: mirror symmetry, the
 independence of UAV order (the base station keeps its cells and owner
-labels follow their UAVs), and areas that tile the window.
+labels follow their UAVs), and areas that tile the window.  The owner
+labels come in the narrowest signed integer type that holds them, and
+one partition holds at most a few window-sized float arrays at once.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from spectrum_contracts.config import DEFAULT_NOISE_DBM, _ring_positions, watts_to_dbm
 from spectrum_contracts.geometry import (
+    _BOUND_SLACK_DB,
     MBS_OWNER,
     Placement,
     RadioParams,
@@ -26,6 +30,7 @@ from spectrum_contracts.geometry import (
     _cell_centers,
     _free_space,
     partition_regions,
+    pathloss_mbs,
     pathloss_uav,
     snr,
 )
@@ -82,11 +87,19 @@ def reference_partition(
     return RegionGrid(extent=extent, cell_size=cell_size, owner=owner, areas=areas)
 
 
+def narrowest_label_type(uavs: int) -> np.dtype:
+    """The narrowest signed integer type holding -1 and every UAV index."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if uavs - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise ValueError(f"{uavs} UAVs need more than 64-bit labels")
+
+
 def assert_same_partition(placement, terrain, radio, extent, cell_size):
     got = partition_regions(placement, terrain, radio, extent, cell_size)
     want = reference_partition(placement, terrain, radio, extent, cell_size)
     assert got.owner.shape == want.owner.shape
-    assert got.owner.dtype == want.owner.dtype
+    assert got.owner.dtype == narrowest_label_type(len(placement.uav_positions))
     assert np.array_equal(got.owner, want.owner)
     assert got.areas == want.areas
     return got
@@ -152,6 +165,70 @@ def test_preset_heights_match_the_full_grid(height):
     if height >= 700.0:
         # Every relay's reach is empty: the culled pass scores no cell.
         assert grid.areas == (0.0,) * 10
+
+
+def test_no_uavs_leave_the_base_station_every_cell():
+    placement = Placement(uav_positions=(), height=100.0)
+    grid = assert_same_partition(placement, URBAN, LOUD_RADIO, 600.0, 100.0)
+    assert np.all(grid.owner == MBS_OWNER)
+    assert grid.areas == ()
+
+
+@pytest.mark.parametrize(("uavs", "dtype"), [(128, np.int8), (129, np.int16)])
+def test_the_last_label_fits_the_owner_type(uavs, dtype):
+    # One relay on each of the first cell centers of a 12 x 12 grid: the
+    # loud relays beat the base station, and each wins its own cell, so
+    # the last label is written.  An owner type one size too narrow
+    # would wrap it (numpy 1.24 does so with only a warning).
+    centers = _cell_centers(600.0, 100.0)
+    positions = tuple((float(x), float(y)) for x in centers for y in centers)
+    placement = Placement(uav_positions=positions[:uavs], height=100.0)
+    grid = assert_same_partition(placement, URBAN, LOUD_RADIO, 600.0, 100.0)
+    assert grid.owner.dtype == dtype
+    assert np.count_nonzero(grid.owner == uavs - 1) > 0
+
+
+def union_window_cells(placement, terrain, radio, extent, cell_size):
+    """Cells of the rectangle around every UAV's box, by the radial bound
+    that ``partition_regions`` documents."""
+    centers = _cell_centers(extent, cell_size)
+    steps = math.ceil((2.0 * math.sqrt(2.0) * extent + cell_size) / cell_size)
+    radii = np.arange(steps + 1) * cell_size
+    height = placement.height
+    theta = np.degrees(np.arctan2(height, radii[:-1]))
+    loss = pathloss_uav(theta, np.hypot(radii[:-1], height), terrain, radio)
+    inner = snr(radio.p_uav, loss, radio.noise)
+    lows, highs = [], []
+    for ux, uy in placement.uav_positions:
+        loss = pathloss_mbs(math.hypot(ux, uy) + radii[1:], terrain, radio)
+        floor = snr(radio.p_mbs, loss, radio.noise)
+        kept = np.flatnonzero(inner > floor - _BOUND_SLACK_DB)
+        if kept.size:
+            reach = radii[kept[-1] + 1]
+            lows.append(np.searchsorted(centers, (ux - reach, uy - reach), side="left"))
+            highs.append(np.searchsorted(centers, (ux + reach, uy + reach), side="right"))
+    if not lows:
+        return 0
+    return int(np.prod(np.max(highs, axis=0) - np.min(lows, axis=0)))
+
+
+@pytest.mark.parametrize("height", [float(h) for h in range(400, 601, 25)])
+def test_partition_memory_stays_within_four_window_arrays(height):
+    # Besides its owner array, one partition holds the base station's
+    # SNR over the union window of the boxes and, while it scores, the
+    # distances and pathloss temporaries of one box: 2.03-2.12
+    # window-sized float64 arrays at these heights.  Scoring on
+    # np.meshgrid copies of the coordinates took 5.05 and fails here.
+    placement = Placement(uav_positions=_ring_positions(10, 1000.0), height=height)
+    window = union_window_cells(placement, URBAN, DEFAULT_RADIO, 3000.0, 10.0)
+    assert window > 0
+    tracemalloc.start()
+    try:
+        grid = partition_regions(placement, URBAN, DEFAULT_RADIO, 3000.0, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.owner.nbytes + 4 * 8 * window
 
 
 @st.composite
